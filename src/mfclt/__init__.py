@@ -70,7 +70,6 @@ from .measures import (
     MeasureError,
     MetricKind,
     distance,
-    empirical_from_samples,
     interpolate,
     metric_axiom_suite,
     tv_wasserstein_inequality_check,

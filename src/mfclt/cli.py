@@ -47,6 +47,7 @@ from .laws import LawError, SamplerSpec, as_law
 from .mean_field import (
     CovarianceConfig,
     MeanFieldError,
+    _steps_for,
     cramer_wold_normality,
     fluctuation_process,
     make_model,
@@ -94,7 +95,6 @@ class ExperimentConfig:
     workers: int = 1
     ref_size: int | None = None
     force: bool = True
-    check: bool = True
     out: str | None = None
     out_dir: str = "."
     probes: int = 50
@@ -113,6 +113,12 @@ class ExperimentConfig:
             problems.append("n_grid must be strictly increasing")
         if any(b <= a for a, b in zip(self.times, self.times[1:])):
             problems.append("times must be strictly increasing")
+        if self.kind == "meanfield" and self.dt > 0:
+            for t in self.times:
+                try:
+                    _steps_for(t, self.dt)
+                except MeanFieldError as exc:
+                    problems.append(str(exc))
         if self.kind in ("clt", "decompose", "scaling") and self.functional:
             try:
                 make_functional(self.functional)
@@ -257,25 +263,17 @@ def parse_config(argv: list[str]) -> ExperimentConfig:
             raise
         raise ConfigError("bad arguments (see usage)") from exc
 
-    kind = {"clt": ns.action if ns.group == "clt" else None,
-            "meanfield": "meanfield",
-            "derivcheck": "derivcheck",
-            "metrics": "metrics"}.get(ns.group)
+    kind = ns.group
     if ns.group == "clt":
         kind = {"run": "clt", "decompose": "decompose", "scaling": "scaling"}[ns.action]
 
     values: dict = {}
     if getattr(ns, "config", None):
         values.update(_read_ini(ns.config))
-    flag_map = {
-        "seed": "seed", "functional": "functional", "law": "law", "n": "n",
-        "reps": "reps", "quad_points": "quad_points", "n_grid": "n_grid",
-        "model": "model", "phi": "phi", "times": "times", "dt": "dt",
-        "ref_size": "ref_size", "workers": "workers", "out": "out",
-        "out_dir": "out_dir", "probes": "probes",
-    }
-    for attr, key in flag_map.items():
-        val = getattr(ns, attr, None)
+    for key in ("seed", "functional", "law", "n", "reps", "quad_points",
+                "n_grid", "model", "phi", "times", "dt", "ref_size", "workers",
+                "out", "out_dir", "probes"):
+        val = getattr(ns, key, None)
         if val is not None:
             values[key] = val
     if getattr(ns, "no_force", False):
@@ -421,7 +419,7 @@ def _run_decompose(cfg: ExperimentConfig, manifest: Manifest, json_path: str,
     u = make_functional(cfg.functional or "mean-square")
     law = parse_law(cfg.law)
     records = decompose_many(u, law, cfg.n, cfg.reps, cfg.seed,
-                             quad_points=cfg.quad_points)
+                             quad_points=cfg.quad_points, workers=cfg.workers)
     residuals = np.asarray([r.identity_residual for r in records])
     _write(csv_path, _csv_lines("identity_residual", residuals))
     payload = {

@@ -18,7 +18,6 @@ resolution error is measured by size-doubling and reported, never hidden.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -27,7 +26,7 @@ import numpy as np
 from .functionals import Functional, Quantile, evaluate, lfd
 from .laws import Law, SamplerSpec, as_law
 from .measures import DiscreteMeasure, _as_points
-from .rng import stream
+from .rng import map_replications, stream
 from .stats import empirical_cov, ks_test_normal, loglog_slope, normal_cdf
 
 DEGENERACY_TOL = 1e-12
@@ -166,13 +165,6 @@ def _empirical_value_fn(u: Functional, law: object) -> Callable[[np.ndarray], fl
     return lambda pts: evaluate(u, DiscreteMeasure(pts))
 
 
-def _map_replications(fn: Callable[[int], object], r: int, workers: int) -> list:
-    if workers <= 1:
-        return [fn(rep) for rep in range(r)]
-    with ThreadPoolExecutor(max_workers=int(workers)) as pool:
-        return list(pool.map(fn, range(r)))
-
-
 def run_clt_experiment(u: Functional, m0: object, n: int, r: int, seed: int,
                        workers: int = 1, mc_size: int = 1_000_000) -> CltReport:
     """R replications of sqrt(N) (U(m^N) - U(m0)) plus the Gaussian-limit test.
@@ -192,7 +184,7 @@ def run_clt_experiment(u: Functional, m0: object, n: int, r: int, seed: int,
         pts = _draw(law, stream(seed, "clt", rep), n)
         return root_n * (value_fn(pts) - u_ref)
 
-    samples = np.asarray(_map_replications(one_rep, r, workers), dtype=float)
+    samples = np.asarray(map_replications(one_rep, r, workers), dtype=float)
     samples.setflags(write=False)
     cov = empirical_cov(samples[:, None])
     sigma2_emp = float(cov.cov[0, 0])
@@ -239,7 +231,8 @@ def _reference_measure(law: object, proxy_size: int | None) -> DiscreteMeasure:
 
 
 def _decompose_moment_form(mf, pts: np.ndarray, v0: np.ndarray,
-                           quad_points: int, keep_increments: bool):
+                           quad_points: int, keep_increments: bool
+                           ) -> DecompositionRecord:
     n = pts.shape[0]
     g = mf.stats(pts)  # (N, q)
     idx = np.arange(1, n + 1, dtype=float)
@@ -257,7 +250,11 @@ def _decompose_moment_form(mf, pts: np.ndarray, v0: np.ndarray,
         grad_s = mf.grad(base + s * step)
         r_n += w * float(np.einsum("iq,iq->i", grad_s - grad0, g - v0).sum()) / n
     delta_u = float(mf.value(g.mean(axis=0)) - mf.value(v0))
-    return q_n, r_n, delta_u, (increments if keep_increments else None)
+    return DecompositionRecord(
+        n=n, q_n=q_n, r_n=r_n, delta_u=delta_u,
+        identity_residual=abs(delta_u - q_n - r_n),
+        quad_points=int(quad_points),
+        increments=increments if keep_increments else None)
 
 
 def martingale_decomposition(u: Functional, m0: object, samples: object,
@@ -281,12 +278,7 @@ def martingale_decomposition(u: Functional, m0: object, samples: object,
     if mf is not None:
         ref = _reference_measure(law, proxy_size)
         v0 = mf.stats(ref.points).T @ ref.weights
-        q_n, r_n, delta_u, incr = _decompose_moment_form(
-            mf, pts, v0, quad_points, keep_increments)
-        return DecompositionRecord(
-            n=n, q_n=q_n, r_n=r_n, delta_u=delta_u,
-            identity_residual=abs(delta_u - q_n - r_n),
-            quad_points=int(quad_points), increments=incr)
+        return _decompose_moment_form(mf, pts, v0, quad_points, keep_increments)
 
     # generic route: build each interpolated measure explicitly
     ref = _reference_measure(
@@ -336,12 +328,8 @@ def decompose_many(u: Functional, m0: object, n: int, r: int, seed: int,
 
         def one_rep(rep: int) -> DecompositionRecord:
             pts = _draw(law, stream(seed, "decompose", rep), n)
-            q_n, r_n, delta_u, incr = _decompose_moment_form(
-                mf, pts, v0, quad_points, keep_increments)
-            return DecompositionRecord(
-                n=n, q_n=q_n, r_n=r_n, delta_u=delta_u,
-                identity_residual=abs(delta_u - q_n - r_n),
-                quad_points=int(quad_points), increments=incr)
+            return _decompose_moment_form(mf, pts, v0, quad_points,
+                                          keep_increments)
     else:
         def one_rep(rep: int) -> DecompositionRecord:
             pts = _draw(law, stream(seed, "decompose", rep), n)
@@ -349,7 +337,7 @@ def decompose_many(u: Functional, m0: object, n: int, r: int, seed: int,
                 u, law, pts, quad_points=quad_points, proxy_size=proxy_size,
                 keep_increments=keep_increments)
 
-    return _map_replications(one_rep, r, workers)
+    return map_replications(one_rep, r, workers)
 
 
 # ---------------------------------------------------------------------------
@@ -437,8 +425,8 @@ def martingale_increment_regression(u: Functional, m0: object, n: int, r: int,
     features = {i: np.zeros((r, 4)) for i in indices}
     for rep in range(r):
         pts = _draw(law, stream(seed, "increment-regression", rep), n)
-        _, _, _, incr = _decompose_moment_form(
-            mf, pts, v0, DEFAULT_QUAD_POINTS, True)
+        incr = _decompose_moment_form(
+            mf, pts, v0, DEFAULT_QUAD_POINTS, True).increments
         first = pts[:, 0]
         sq = np.sum(pts * pts, axis=1)
         for i in indices:

@@ -177,9 +177,6 @@ class MomentForm:
             out = out[:, None]
         return out
 
-    def stat_zero(self, dim: int) -> np.ndarray:
-        return self.stats(np.zeros((1, dim)))[0]
-
     def value(self, v: np.ndarray) -> np.ndarray:
         return np.asarray(self.value_fn(np.asarray(v, dtype=float)), dtype=float)
 
@@ -242,6 +239,14 @@ class Functional:
     growth_k: float | None = None
     growth_ell: float | None = None
 
+    def __init__(self, dim: int | None = None, name: str = "",
+                 growth_k: float | None = None,
+                 growth_ell: float | None = None):
+        self.dim = dim
+        self.name = name
+        self.growth_k = growth_k
+        self.growth_ell = growth_ell
+
     def value(self, mu: object) -> float:
         raise NotImplementedError
 
@@ -280,10 +285,7 @@ class Linear(Functional):
                  name: str = "", growth_k: float | None = None,
                  growth_ell: float | None = None):
         self.phi = phi
-        self.dim = dim
-        self.name = name
-        self.growth_k = growth_k
-        self.growth_ell = growth_ell
+        super().__init__(dim, name, growth_k, growth_ell)
         self.max_order = 2  # higher orders vanish identically
 
     def value(self, mu: object) -> float:
@@ -327,10 +329,7 @@ class SmoothOfLinear(Functional):
         self.f_hess = hess
         self.f_third = third
         self.stats = tuple(stats)
-        self.dim = dim
-        self.name = name
-        self.growth_k = growth_k
-        self.growth_ell = growth_ell
+        super().__init__(dim, name, growth_k, growth_ell)
         self.max_order = 3 if third is not None else 2
 
     @classmethod
@@ -413,10 +412,7 @@ class UStatistic(Functional):
         self.phi = phi
         self.n = int(n)
         self.product_kernel = product_kernel
-        self.dim = dim
-        self.name = name
-        self.growth_k = growth_k
-        self.growth_ell = growth_ell
+        super().__init__(dim, name, growth_k, growth_ell)
         self.max_order = self.n
         if check_symmetry and n > 1:
             _symmetry_spot_check(phi, self.n, dim if dim is not None else 1)
@@ -513,11 +509,8 @@ class Quantile(Functional):
     def __init__(self, v: float, name: str = ""):
         if not 0.0 < v < 1.0:
             raise FunctionalError("quantile level must lie in (0, 1)")
+        super().__init__(1, name or f"quantile:{v:g}", 0.0, 1.0)
         self.v = float(v)
-        self.dim = 1
-        self.name = name or f"quantile:{v:g}"
-        self.growth_k = 0.0
-        self.growth_ell = 1.0
 
     def value(self, mu: object) -> float:
         if _measure_dim(mu) != 1:
@@ -566,10 +559,7 @@ class NestedIntegrand(Functional):
         self.n = int(n)
         self.phi_lfd = phi_lfd
         self.phi_lfd2 = phi_lfd2
-        self.dim = dim
-        self.name = name
-        self.growth_k = growth_k
-        self.growth_ell = growth_ell
+        super().__init__(dim, name, growth_k, growth_ell)
         self.max_order = 2 if phi_lfd2 is not None else 1
 
     # scalar python loops: keep continuous-law proxies at a few thousand cells
@@ -644,10 +634,7 @@ class ExternalIntegral(Functional):
         self.lam = lam
         self.phi_lfd = phi_lfd
         self.phi_lfd2 = phi_lfd2
-        self.dim = dim
-        self.name = name
-        self.growth_k = growth_k
-        self.growth_ell = growth_ell
+        super().__init__(dim, name, growth_k, growth_ell)
         self.max_order = 2 if phi_lfd2 is not None else 1
 
     def value(self, mu: object) -> float:

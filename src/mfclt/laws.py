@@ -6,9 +6,10 @@ the measure-like interface the functional calculus consumes:
 
 * ``expect(fn)``: expectation of a vectorized scalar function.  For d = 1
   normal/uniform laws this is a deterministic stratified inverse-CDF
-  quadrature on ``proxy_size`` midpoints; its accuracy is probed by the
-  doubling estimate ``expect_error``.  Callback and d > 1 laws fall back to
-  a frozen Monte Carlo proxy with a documented seed.
+  quadrature on ``proxy_size`` midpoints.  Callback and d > 1 laws fall
+  back to a frozen Monte Carlo proxy with a documented seed.  Proxy
+  resolution is probed by size-doubling where it matters, in
+  ``clt_engine._reference_value`` and ``clt_engine.asymptotic_variance``.
 * ``cdf`` / ``pdf`` / ``quantile`` for d = 1 laws that have them.
 
 `MixtureLaw` represents (1 - eps) * law + eps * discrete-part mixtures, so
@@ -54,8 +55,8 @@ class SamplerSpec:
 
     @staticmethod
     def normal(mean: float = 0.0, sd: float = 1.0, dim: int = 1) -> "SamplerSpec":
-        if sd <= 0:
-            raise LawError("sd must be positive")
+        if not (np.isfinite(mean) and np.isfinite(sd) and sd > 0):
+            raise LawError("need a finite mean and a finite sd > 0")
         return SamplerSpec(
             "normal", dim=dim, mean=float(mean), sd=float(sd),
             moment_order=np.inf, label=f"normal:{mean},{sd}",
@@ -63,8 +64,8 @@ class SamplerSpec:
 
     @staticmethod
     def uniform(low: float = 0.0, high: float = 1.0, dim: int = 1) -> "SamplerSpec":
-        if not high > low:
-            raise LawError("need high > low")
+        if not (np.isfinite(low) and np.isfinite(high) and high > low):
+            raise LawError("need finite bounds with high > low")
         return SamplerSpec(
             "uniform", dim=dim, low=float(low), high=float(high),
             moment_order=np.inf, label=f"uniform:{low},{high}",
@@ -165,15 +166,6 @@ class Law:
             return self.spec.atoms.expect(fn)
         pts = self.proxy_points()
         return float(np.mean(np.asarray(fn(pts), dtype=float)))
-
-    def expect_error(self, fn: Callable[[np.ndarray], np.ndarray]) -> tuple[float, float]:
-        """(value, error estimate) via proxy-size doubling."""
-        if self.spec.kind == "atoms":
-            return self.spec.atoms.expect(fn), 0.0
-        full = self.expect(fn)
-        half_pts = self.proxy_points(self.proxy_size // 2)
-        half = float(np.mean(np.asarray(fn(half_pts), dtype=float)))
-        return full, abs(full - half)
 
     def moment(self, ell: float) -> float:
         if ell == 0:

@@ -28,16 +28,15 @@ for any worker count.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .functionals import Functional, Linear, evaluate
-from .laws import Law, SamplerSpec, as_law
+from .laws import Law, LawError, SamplerSpec, as_law
 from .measures import DiscreteMeasure
-from .rng import stream
+from .rng import map_replications, stream
 from .stats import empirical_cov, ks_test_normal, loglog_slope
 
 DEFAULT_DT = 1e-2
@@ -251,7 +250,7 @@ def _stratified_initial(base: object, m: int, rng: np.random.Generator
         try:
             return np.asarray(
                 [law.quantile((j + 0.5) / m) for j in range(m)])[:, None]
-        except Exception:
+        except LawError:
             pass
     if isinstance(law, DiscreteMeasure):
         idx = rng.choice(law.natoms, size=m, p=law.weights)
@@ -364,12 +363,7 @@ def fluctuation_process(phi: Functional, model: MkvModel, n: int,
             out[idx] = root_n * (_phi_on_cloud(phi, snaps[k_step][0]) - ref_values[idx])
         return out
 
-    if workers <= 1:
-        rows = [one_rep(rep) for rep in range(r)]
-    else:
-        with ThreadPoolExecutor(max_workers=int(workers)) as pool:
-            rows = list(pool.map(one_rep, range(r)))
-    f_samples = np.asarray(rows)
+    f_samples = np.asarray(map_replications(one_rep, r, workers))
     f_samples.setflags(write=False)
     cov = empirical_cov(f_samples)
     return FluctuationReport(
@@ -512,6 +506,33 @@ def _master_batch(ev: MasterEvaluator, steps: int, base_pts: np.ndarray,
     return _phi_batch(ev.phi, final, weights)
 
 
+def _slot_values(ev: MasterEvaluator, steps: int, pts: np.ndarray,
+                 base_w: np.ndarray, ys: np.ndarray, eps: float, seed: int
+                 ) -> np.ndarray:
+    """V(t, (1 - eps) nu + eps delta_y) for each row y of ys, one CRN batch.
+
+    ``(pts, base_w)`` is the base cloud of nu (see _base_cloud); the z slot
+    stays empty, and eps = 0 gives V(t, nu) on every row.
+    """
+    zero = np.zeros(pts.shape[1])
+    configs = [(zero, 0.0, y, eps) for y in ys]
+    scale = np.full(len(configs), 1.0 - eps)
+    return _master_batch(ev, steps, pts, base_w, configs, scale, seed)
+
+
+def _lderiv(ev: MasterEvaluator, steps: int, pts: np.ndarray,
+            base_w: np.ndarray, ys: np.ndarray, seed: int) -> np.ndarray:
+    """L-derivative at each row y of ys, (P, d): the central +/-h difference
+    of the eps-slot values.  The y = 0 baseline cancels, so only shifted
+    slots run."""
+    p, d = ys.shape
+    e = ev.h * np.eye(d)[:, None, :]  # (d, 1, d)
+    shifted = np.stack([ys[None] + e, ys[None] - e], axis=2)  # (d, P, 2, d)
+    vals = _slot_values(ev, steps, pts, base_w, shifted.reshape(-1, d),
+                        ev.eps, seed).reshape(d, p, 2)
+    return ((vals[..., 0] - vals[..., 1]) / (2.0 * ev.h * ev.eps)).T
+
+
 def master_value(ev: MasterEvaluator, t: float, mu: object, seed: int) -> float:
     """V(t, mu) = Phi of the evolved inner cloud; t = 0 is exact."""
     law = as_law(mu)
@@ -519,9 +540,8 @@ def master_value(ev: MasterEvaluator, t: float, mu: object, seed: int) -> float:
         return evaluate(ev.phi, law)
     steps = _steps_for(t, ev.dt)
     pts, base_w = _base_cloud(ev, law, seed)
-    zero = np.zeros(ev.model.dim)
-    vals = _master_batch(ev, steps, pts, base_w, [(zero, 0.0, zero, 0.0)],
-                         np.ones(1), seed)
+    vals = _slot_values(ev, steps, pts, base_w, np.zeros((1, ev.model.dim)),
+                        0.0, seed)
     return float(vals[0])
 
 
@@ -534,13 +554,10 @@ def master_lfd_batch(ev: MasterEvaluator, t: float, nu: object,
     law = as_law(nu)
     steps = _steps_for(t, ev.dt)
     pts, base_w = _base_cloud(ev, law, seed)
-    zero = np.zeros(ev.model.dim)
+    rows = np.vstack([np.zeros((1, ys.shape[1])), ys])  # baseline y = 0 first
 
     def at_eps(eps: float) -> np.ndarray:
-        configs = [(zero, 0.0, zero, eps)]
-        configs += [(zero, 0.0, y, eps) for y in ys]
-        scale = np.full(len(configs), 1.0 - eps)
-        vals = _master_batch(ev, steps, pts, base_w, configs, scale, seed)
+        vals = _slot_values(ev, steps, pts, base_w, rows, eps, seed)
         return (vals[1:] - vals[0]) / eps
 
     out = at_eps(ev.eps)
@@ -560,25 +577,11 @@ def master_lderiv_batch(ev: MasterEvaluator, t: float, nu: object,
                         ys: np.ndarray, seed: int) -> np.ndarray:
     """L-derivative d_mu V(t, nu)(y) = grad_y dV/dm, central differences.
 
-    Returns (P, d).  The y = 0 baseline cancels, so only shifted slots run.
+    Returns (P, d).
     """
     ys = np.atleast_2d(np.asarray(ys, dtype=float))
-    p, d = ys.shape
-    law = as_law(nu)
-    steps = _steps_for(t, ev.dt)
-    pts, base_w = _base_cloud(ev, law, seed)
-    zero = np.zeros(d)
-    configs = []
-    for j in range(d):
-        e = np.zeros(d)
-        e[j] = ev.h
-        for y in ys:
-            configs.append((zero, 0.0, y + e, ev.eps))
-            configs.append((zero, 0.0, y - e, ev.eps))
-    scale = np.full(len(configs), 1.0 - ev.eps)
-    vals = _master_batch(ev, steps, pts, base_w, configs, scale, seed)
-    vals = vals.reshape(d, p, 2)
-    return ((vals[..., 0] - vals[..., 1]) / (2.0 * ev.h * ev.eps)).T
+    pts, base_w = _base_cloud(ev, as_law(nu), seed)
+    return _lderiv(ev, _steps_for(t, ev.dt), pts, base_w, ys, seed)
 
 
 def master_lderiv(ev: MasterEvaluator, t: float, nu: object, y: object,
@@ -748,7 +751,6 @@ def theoretical_covariance(phi: Functional, model: MkvModel,
         pair_idx = (np.arange(p // 2) * (m_ref // 2) // max(p // 2, 1)) * 2
         idx = np.sort(np.concatenate([pair_idx, pair_idx + 1]))
         d = model.dim
-        zero = np.zeros(d)
         out = np.zeros((k, k))
         for s in _s_grid(times, config):
             cloud = ref_clouds[s]
@@ -759,17 +761,7 @@ def theoretical_covariance(phi: Functional, model: MkvModel,
             g = np.zeros((k, len(idx), d))
             for i in live:
                 steps = _steps_for(times[i] - s, config.dt)
-                configs = []
-                for j in range(d):
-                    e = np.zeros(d)
-                    e[j] = ev.h
-                    for x_probe in xs:
-                        configs.append((zero, 0.0, x_probe + e, ev.eps))
-                        configs.append((zero, 0.0, x_probe - e, ev.eps))
-                scale = np.full(len(configs), 1.0 - ev.eps)
-                vals = _master_batch(ev, steps, base_pts, base_w, configs,
-                                     scale, sub_seed).reshape(d, len(idx), 2)
-                g[i] = ((vals[..., 0] - vals[..., 1]) / (2 * ev.h * ev.eps)).T
+                g[i] = _lderiv(ev, steps, base_pts, base_w, xs, sub_seed)
             batch = BatchEmpirical(cloud[None])
             sx = np.asarray(model.diffusion(xs[None], batch), dtype=float)[0]
             a = np.einsum("pij,pkj->pik", sx, sx)  # sigma sigma^T at probes
@@ -779,15 +771,15 @@ def theoretical_covariance(phi: Functional, model: MkvModel,
                     out[i, j] += config.s_stride * config.dt * float(vals.mean())
         return out
 
-    t1 = term1_at(config.xi_probes, seed)
-    t1_half = term1_at(max(config.xi_probes // 2, 2), seed)
-    t1_alt = term1_at(config.xi_probes, seed + 1)
-    se1 = np.abs(t1 - t1_half) + np.abs(t1 - t1_alt) / 2.0
+    def with_stderr(term_at: Callable[[int, int], np.ndarray], p: int
+                    ) -> tuple[np.ndarray, np.ndarray]:
+        full = term_at(p, seed)
+        half = term_at(max(p // 2, 2), seed)
+        alt = term_at(p, seed + 1)
+        return full, np.abs(full - half) + np.abs(full - alt) / 2.0
 
-    t2 = term2_at(config.path_probes, seed)
-    t2_half = term2_at(max(config.path_probes // 2, 2), seed)
-    t2_alt = term2_at(config.path_probes, seed + 1)
-    se2 = np.abs(t2 - t2_half) + np.abs(t2 - t2_alt) / 2.0
+    t1, se1 = with_stderr(term1_at, config.xi_probes)
+    t2, se2 = with_stderr(term2_at, config.path_probes)
 
     return CovarianceResult(
         matrix=t1 + t2, stderr=se1 + se2, term1=t1, term2=t2,
@@ -850,14 +842,9 @@ def master_equation_residual(ev: MasterEvaluator, t: float, mu: object,
         steps = _steps_for(t, ev.dt)
         pts, base_w = _base_cloud(ev, law, s)
         eps, h = ev.eps, ev.h
-        zero = np.zeros(1)
-        configs = []
-        for v in support.points:
-            for shift in (h, 0.0, -h):
-                configs.append((zero, 0.0, v + shift, eps))
-        scale = np.full(len(configs), 1.0 - eps)
-        vals = _master_batch(ev, steps, pts, base_w, configs, scale, s)
-        vals = vals.reshape(support.natoms, 3)
+        stencil = support.points + np.asarray([h, 0.0, -h])  # (atoms, 3)
+        vals = _slot_values(ev, steps, pts, base_w, stencil.reshape(-1, 1),
+                            eps, s).reshape(support.natoms, 3)
         lderiv = (vals[:, 0] - vals[:, 2]) / (2.0 * h * eps)
         second = (vals[:, 0] - 2.0 * vals[:, 1] + vals[:, 2]) / (eps * h * h)
         batch = BatchEmpirical(support.points[None],
@@ -956,15 +943,17 @@ def cramer_wold_normality(f_samples: np.ndarray, sigma_theory: np.ndarray,
                           ) -> list[DirectionTest]:
     """KS test of theta^T F^N against N(0, theta^T Sigma theta) per direction.
 
-    Defaults: the coordinate axes plus the normalized all-ones direction.
-    Degenerate directions (zero theoretical variance) are skipped and flagged.
+    Defaults: the coordinate axes plus, for K > 1, the normalized all-ones
+    direction.  Degenerate directions (zero theoretical variance) are skipped
+    and flagged.
     """
     f = np.asarray(f_samples, dtype=float)
     sigma = np.asarray(sigma_theory, dtype=float)
     k = f.shape[1]
     if directions is None:
         directions = [tuple(np.eye(k)[i]) for i in range(k)]
-        directions.append(tuple(np.full(k, 1.0 / np.sqrt(k))))
+        if k > 1:  # with one time the all-ones direction is the axis itself
+            directions.append(tuple(np.full(k, 1.0 / np.sqrt(k))))
     out = []
     for theta in directions:
         th = np.asarray(theta, dtype=float)

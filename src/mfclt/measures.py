@@ -154,15 +154,7 @@ class DiscreteMeasure:
 
     def merged(self) -> "DiscreteMeasure":
         """Atoms merged under exact coordinate equality, sorted lexicographically."""
-        order = np.lexsort(self.points.T[::-1])
-        pts, w = self.points[order], self.weights[order]
-        new_group = np.ones(len(pts), dtype=bool)
-        new_group[1:] = np.any(pts[1:] != pts[:-1], axis=1)
-        group_ids = np.cumsum(new_group) - 1
-        gpts = pts[new_group]
-        gw = np.zeros(len(gpts))
-        np.add.at(gw, group_ids, w)
-        return DiscreteMeasure(gpts, gw)
+        return DiscreteMeasure(*_merge_atoms(self.points, self.weights))
 
     def same_as(self, other: "DiscreteMeasure", tol: float = 0.0) -> bool:
         a, b = self.merged(), other.merged()
@@ -205,9 +197,17 @@ class DiscreteMeasure:
         return DiscreteMeasure(arr[:, 1:], arr[:, 0])
 
 
-def empirical_from_samples(samples: object) -> DiscreteMeasure:
-    """Uniform-weight empirical measure of a sample array (n,) or (n, d)."""
-    return DiscreteMeasure(_as_points(samples))
+def _merge_atoms(pts: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lexicographically sorted distinct points with their summed weights."""
+    order = np.lexsort(pts.T[::-1])
+    pts, w = pts[order], w[order]
+    new_group = np.ones(len(pts), dtype=bool)
+    new_group[1:] = np.any(pts[1:] != pts[:-1], axis=1)
+    group_ids = np.cumsum(new_group) - 1
+    gpts = pts[new_group]
+    gw = np.zeros(len(gpts))
+    np.add.at(gw, group_ids, w)
+    return gpts, gw
 
 
 def interpolate(mu: DiscreteMeasure, nu: DiscreteMeasure, s: float) -> DiscreteMeasure:
@@ -261,17 +261,8 @@ def _signed_atom_difference(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Union support and net weights of mu - nu (exact-equality merging)."""
     a, b = mu.merged(), nu.merged()
-    pts = np.vstack([a.points, b.points])
-    w = np.concatenate([a.weights, -b.weights])
-    order = np.lexsort(pts.T[::-1])
-    pts, w = pts[order], w[order]
-    new_group = np.ones(len(pts), dtype=bool)
-    new_group[1:] = np.any(pts[1:] != pts[:-1], axis=1)
-    gids = np.cumsum(new_group) - 1
-    gpts = pts[new_group]
-    gw = np.zeros(len(gpts))
-    np.add.at(gw, gids, w)
-    return gpts, gw
+    return _merge_atoms(np.vstack([a.points, b.points]),
+                        np.concatenate([a.weights, -b.weights]))
 
 
 def _pairwise_abs_diff(mu: DiscreteMeasure, nu: DiscreteMeasure) -> np.ndarray:

@@ -8,6 +8,8 @@ chunking, or the number of worker threads.
 from __future__ import annotations
 
 import hashlib
+from concurrent.futures import ThreadPoolExecutor
+from typing import Callable
 
 import numpy as np
 
@@ -25,3 +27,15 @@ def stream(seed: int, *tags: object) -> np.random.Generator:
     """Generator keyed by (seed, *tags); same key, same stream, any schedule."""
     entropy = (int(seed) & _MASK64,) + tuple(_tag_int(t) for t in tags)
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
+
+
+def map_replications(fn: Callable[[int], object], r: int, workers: int) -> list:
+    """[fn(0), ..., fn(r - 1)], on a pool of ``workers`` threads when > 1.
+
+    Replication ``rep`` must draw only from streams keyed by ``rep``; the list
+    is then the same for every worker count.
+    """
+    if workers <= 1:
+        return [fn(rep) for rep in range(r)]
+    with ThreadPoolExecutor(max_workers=int(workers)) as pool:
+        return list(pool.map(fn, range(r)))

@@ -136,11 +136,27 @@ def test_repeat_runs_byte_identical(tmp_path):
     assert (tmp_path / "a.csv").read_text() == (tmp_path / "b.csv").read_text()
 
 
-def test_config_error_exit_code(tmp_path):
+def test_config_error_exit_code(tmp_path, capsys):
     assert run_cli(tmp_path, "clt", "run", "--functional", "zzz",
                    "--seed", "1") == EXIT_CONFIG
-    assert run_cli(tmp_path, "clt", "run", "--functional", "linear-mean",
-                   "--law", "normal:0,oops", "--seed", "1") == EXIT_CONFIG
+    for law in ("normal:0,oops", "normal:nan,1", "normal:0,nan"):
+        assert run_cli(tmp_path, "clt", "run", "--functional", "linear-mean",
+                       "--law", law, "--seed", "1") == EXIT_CONFIG
+    assert run_cli(tmp_path, "meanfield", "run", "--model", "ou",
+                   "--times", "0.105", "--seed", "1") == EXIT_CONFIG
+    assert "not on the dt=0.01 grid" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())  # rejected before any artifact
+
+
+def test_decompose_artifacts_independent_of_workers(tmp_path):
+    args = ("clt", "decompose", "--functional", "mean-square", "--law",
+            "normal:0,1", "--n", "200", "--reps", "24", "--seed", "4")
+    for workers in ("1", "4"):
+        assert run_cli(tmp_path / workers, *args, "--workers", workers,
+                       "--out", "d.json") == EXIT_PASS
+    for name in ("d.json", "d.csv"):
+        assert ((tmp_path / "1" / name).read_bytes()
+                == (tmp_path / "4" / name).read_bytes())
 
 
 def test_assertion_failure_exit_code(tmp_path):

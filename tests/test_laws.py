@@ -94,6 +94,14 @@ def test_bad_specs_rejected():
         SamplerSpec.normal(0.0, -1.0)
     with pytest.raises(LawError):
         SamplerSpec.uniform(2.0, 1.0)
+    nan, inf = float("nan"), float("inf")
+    for make, args in [(SamplerSpec.normal, (nan, 1.0)),
+                       (SamplerSpec.normal, (0.0, nan)),
+                       (SamplerSpec.normal, (0.0, inf)),
+                       (SamplerSpec.uniform, (0.0, inf)),
+                       (SamplerSpec.uniform, (nan, 1.0))]:
+        with pytest.raises(LawError, match="finite"):
+            make(*args)
 
 
 def test_stratified_proxy_levels_are_midpoints():

@@ -33,6 +33,7 @@ from mfclt.mean_field import (
     theta_second_derivative,
     time_regularity_probe,
 )
+from mfclt.mean_field import _stratified_initial
 from mfclt.rng import stream
 
 LINEAR_MEAN = make_functional("linear-mean")
@@ -139,6 +140,22 @@ def test_particle_paths_deterministic_in_seed():
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
     assert a.shape == (26, 32, 1)
+
+
+def test_stratified_initial_samples_callback_law_without_cdf():
+    spec = SamplerSpec.callback(lambda rng, n: rng.normal(size=(n, 1)))
+    cloud = _stratified_initial(spec, 6, stream(3, "init"))
+    assert np.array_equal(cloud, stream(3, "init").normal(size=(6, 1)))
+
+
+def test_stratified_initial_propagates_cdf_failures():
+    def broken_cdf(x):
+        raise RuntimeError("cdf callback failed")
+
+    spec = SamplerSpec.callback(lambda rng, n: rng.normal(size=(n, 1)),
+                                cdf_fn=broken_cdf)
+    with pytest.raises(RuntimeError, match="cdf callback failed"):
+        _stratified_initial(spec, 6, stream(3, "init"))
 
 
 def test_reference_spread_is_small_for_big_clouds():
@@ -346,6 +363,65 @@ def test_covariance_mean_revert_exact_forms():
     assert np.allclose(from_dirac.term1, 0.0, atol=1e-9)
 
 
+# Outputs of the nested Monte Carlo estimators, recorded before their slot
+# rows and +/-h stencil were shared between estimators.  Exact equality: a
+# restructuring of the estimators must not move a single bit.
+PINNED_COVARIANCE = {
+    "ou": {
+        "matrix": [[0.0042990450782277, 0.003516218794525666],
+                   [0.0035162187945256655, 0.0037779478199694017]],
+        "stderr": [[0.0003041786018044186, 0.0002487897886844588],
+                   [0.000248789788684459, 0.00044488158510437874]],
+        "term1": [[0.0033448587928484024, 0.0027357832119538077],
+                  [0.0027357832119538072, 0.002237616068819055]],
+        "term2": [[0.0009541862853792975, 0.0007804355825718584],
+                  [0.0007804355825718584, 0.0015403317511503468]],
+    },
+    "mean-revert": {
+        "matrix": [[0.0052882427196833375, 0.005288242719683342],
+                   [0.005288242719683342, 0.0055331226572412975]],
+        "stderr": [[9.20102641824855e-05, 9.201026418247454e-05],
+                   [9.201026418247454e-05, 0.00016699496004031028]],
+        "term1": [[0.0049999999999999906, 0.0049999999999999975],
+                  [0.0049999999999999975, 0.005000000000000003]],
+        "term2": [[0.0002882427196833466, 0.00028824271968334473],
+                  [0.00028824271968334473, 0.0005331226572412953]],
+    },
+    "bounded-sine": {
+        "matrix": [[0.007833421645435478, 0.00875364920999962],
+                   [0.00875364920999962, 0.011617064837240423]],
+        "stderr": [[0.0002944243523101494, 0.00020462449276916438],
+                   [0.00020462449276916438, 0.00040074917949035156]],
+        "term1": [[0.00641517845606741, 0.00723907007449787],
+                  [0.00723907007449787, 0.008249105773574924]],
+        "term2": [[0.0014182431893680675, 0.0015145791355017516],
+                  [0.0015145791355017516, 0.003367959063665499]],
+    },
+}
+
+
+@pytest.mark.parametrize("model_name", sorted(PINNED_COVARIANCE))
+def test_covariance_pinned_outputs(model_name):
+    res = theoretical_covariance(
+        make_functional("mean-square"), make_model(model_name), (0.1, 0.2),
+        CovarianceConfig(force=True, inner_m=400, ref_size=800), seed=3)
+    for key, want in PINNED_COVARIANCE[model_name].items():
+        assert getattr(res, key).tolist() == want, key
+
+
+@pytest.mark.parametrize("phi_name, lhs, rhs", [
+    ("linear-mean", -0.16417573880689457, -0.16334248547377606),
+    ("mean-square", -0.05364458183634707, -0.0578930305643669),
+])
+def test_master_residual_pinned_outputs(phi_name, lhs, rhs):
+    mu = DiscreteMeasure(np.array([[-1.0], [-0.2], [0.4], [1.1]]),
+                         np.array([0.2, 0.2, 0.3, 0.3]))
+    ev = MasterEvaluator(make_functional(phi_name), make_model("ou"),
+                         m=2000, dt=0.01)
+    res = master_equation_residual(ev, 0.25, mu, seed=37)
+    assert (res.lhs, res.rhs) == (lhs, rhs)
+
+
 def test_covariance_bounded_sine_smoke():
     # strongly coupled drift: the estimator carries a large honest stderr,
     # so only sanity properties are asserted here
@@ -375,6 +451,8 @@ def test_cramer_wold_rejects_mismatched_scale():
     f = rng.normal(size=(600, 1)) * 3.0
     tests = cramer_wold_normality(f, np.array([[1.0]]))
     assert tests[0].pvalue < 1e-6
+    # with one time the all-ones direction is the axis: tested once
+    assert [t.direction for t in tests] == [(1.0,)]
 
 
 def test_cramer_wold_skips_degenerate_directions():

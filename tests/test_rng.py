@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from mfclt.rng import stream
+from mfclt.rng import map_replications, stream
 
 
 def test_same_key_same_stream():
@@ -48,3 +48,12 @@ def test_draw_order_does_not_leak_between_streams():
     rest = a.normal(size=10)
     fresh = stream(9, "a").normal(size=20)
     assert np.array_equal(np.concatenate([first, rest]), fresh)
+
+
+def test_map_replications_same_list_for_any_worker_count():
+    def rep(i):
+        return stream(5, "rep", i).normal()
+
+    serial = map_replications(rep, 9, 1)
+    assert map_replications(rep, 9, 3) == serial
+    assert serial == [rep(i) for i in range(9)]
