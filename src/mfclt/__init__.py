@@ -71,6 +71,7 @@ from .measures import (
     MetricKind,
     distance,
     interpolate,
+    lp_wasserstein,
     metric_axiom_suite,
     tv_wasserstein_inequality_check,
     weighted_variation_integral,

@@ -31,7 +31,6 @@ import numpy as np
 from . import __version__
 from .clt_engine import (
     EngineError,
-    martingale_decomposition,
     remainder_scaling,
     run_clt_experiment,
 )
@@ -58,9 +57,8 @@ from .measures import (
     DiscreteMeasure,
     MeasureError,
     MetricKind,
-    _lp_transport_cost,
-    _pairwise_abs_diff,
     distance,
+    lp_wasserstein,
     metric_axiom_suite,
     tv_wasserstein_inequality_check,
 )
@@ -382,13 +380,11 @@ def _paths(cfg: ExperimentConfig, stem: str) -> tuple[str, str, str]:
     return base, root + ".csv", root + ".manifest.json"
 
 
-def _run_clt(cfg: ExperimentConfig, manifest: Manifest, json_path: str,
-             csv_path: str) -> bool:
+def _run_clt(cfg: ExperimentConfig) -> tuple[dict, str | None, dict]:
     u = make_functional(cfg.functional or "linear-mean")
     law = parse_law(cfg.law)
     report = run_clt_experiment(u, law, cfg.n, cfg.reps, cfg.seed,
                                 workers=cfg.workers)
-    _write(csv_path, _csv_lines("sqrtN_deltaU", report.samples))
     payload = {
         "n": report.n,
         "reps": report.replications,
@@ -397,23 +393,21 @@ def _run_clt(cfg: ExperimentConfig, manifest: Manifest, json_path: str,
         "sigma2_empirical": report.sigma2_empirical,
         "ks_stat": report.ks_stat,
         "ks_pvalue": report.ks_pvalue,
-        "samples_csv_path": os.path.basename(csv_path),
     }
-    _write(json_path, dumps_json(payload))
+    csv_text = _csv_lines("sqrtN_deltaU", report.samples)
     if report.degenerate:
-        manifest.checks["degenerate_variance_shrinks"] = bool(
-            report.sigma2_empirical < 0.05)
-        return manifest.checks["degenerate_variance_shrinks"]
+        return payload, csv_text, {"degenerate_variance_shrinks": bool(
+            report.sigma2_empirical < 0.05)}
     tol = 0.1 * report.sigma2_theory + 3.0 * (
         report.sigma2_empirical_stderr + report.sigma2_theory_stderr)
-    manifest.checks["ks_pvalue_gt_0.01"] = bool(report.ks_pvalue > 0.01)
-    manifest.checks["variance_within_10pct_plus_3se"] = bool(
-        abs(report.sigma2_empirical - report.sigma2_theory) <= tol)
-    return all(manifest.checks.values())
+    return payload, csv_text, {
+        "ks_pvalue_gt_0.01": bool(report.ks_pvalue > 0.01),
+        "variance_within_10pct_plus_3se": bool(
+            abs(report.sigma2_empirical - report.sigma2_theory) <= tol),
+    }
 
 
-def _run_decompose(cfg: ExperimentConfig, manifest: Manifest, json_path: str,
-                   csv_path: str) -> bool:
+def _run_decompose(cfg: ExperimentConfig) -> tuple[dict, str | None, dict]:
     from .clt_engine import decompose_many
 
     u = make_functional(cfg.functional or "mean-square")
@@ -421,47 +415,38 @@ def _run_decompose(cfg: ExperimentConfig, manifest: Manifest, json_path: str,
     records = decompose_many(u, law, cfg.n, cfg.reps, cfg.seed,
                              quad_points=cfg.quad_points, workers=cfg.workers)
     residuals = np.asarray([r.identity_residual for r in records])
-    _write(csv_path, _csv_lines("identity_residual", residuals))
     payload = {
         "n": cfg.n, "reps": cfg.reps, "seed": cfg.seed,
         "quad_points": cfg.quad_points,
         "max_residual": float(residuals.max()),
         "mean_abs_q": float(np.mean([abs(r.q_n) for r in records])),
         "mean_abs_r": float(np.mean([abs(r.r_n) for r in records])),
-        "samples_csv_path": os.path.basename(csv_path),
     }
-    _write(json_path, dumps_json(payload))
-    manifest.checks["identity_residual_lt_1e-8"] = bool(residuals.max() < 1e-8)
-    return manifest.checks["identity_residual_lt_1e-8"]
+    return payload, _csv_lines("identity_residual", residuals), {
+        "identity_residual_lt_1e-8": bool(residuals.max() < 1e-8)}
 
 
-def _run_scaling(cfg: ExperimentConfig, manifest: Manifest, json_path: str,
-                 csv_path: str) -> bool:
+def _run_scaling(cfg: ExperimentConfig) -> tuple[dict, str | None, dict]:
     u = make_functional(cfg.functional or "mean-square")
     law = parse_law(cfg.law)
     report = remainder_scaling(u, law, cfg.n_grid, cfg.reps, cfg.seed,
                                quad_points=cfg.quad_points, workers=cfg.workers)
-    _write(csv_path, _csv_lines(
+    csv_text = _csv_lines(
         "n,mean_abs_remainder",
-        np.column_stack([cfg.n_grid, report.mean_abs_remainder])))
+        np.column_stack([cfg.n_grid, report.mean_abs_remainder]))
     payload = {
         "n_grid": list(cfg.n_grid), "reps": cfg.reps, "seed": cfg.seed,
         "slope": report.slope, "r2": report.r_squared,
         "mean_abs_remainder": list(report.mean_abs_remainder),
         "degenerate": report.degenerate,
-        "samples_csv_path": os.path.basename(csv_path),
     }
-    _write(json_path, dumps_json(payload))
     if report.degenerate:
-        manifest.checks["remainder_identically_zero"] = True
-        return True
-    manifest.checks["slope_le_-0.5"] = bool(report.slope <= -0.5)
-    manifest.checks["r2_gt_0.9"] = bool(report.r_squared > 0.9)
-    return all(manifest.checks.values())
+        return payload, csv_text, {"remainder_identically_zero": True}
+    return payload, csv_text, {"slope_le_-0.5": bool(report.slope <= -0.5),
+                               "r2_gt_0.9": bool(report.r_squared > 0.9)}
 
 
-def _run_meanfield(cfg: ExperimentConfig, manifest: Manifest, json_path: str,
-                   csv_path: str) -> bool:
+def _run_meanfield(cfg: ExperimentConfig) -> tuple[dict, str | None, dict]:
     model = make_model(cfg.model or "ou")
     phi = make_functional(cfg.phi or "linear-mean")
     report = fluctuation_process(phi, model, cfg.n, cfg.times, cfg.reps,
@@ -471,7 +456,6 @@ def _run_meanfield(cfg: ExperimentConfig, manifest: Manifest, json_path: str,
     theory = theoretical_covariance(phi, model, cfg.times, cov_cfg, cfg.seed)
     directions = cramer_wold_normality(report.f_samples, theory.matrix)
     header = ",".join(f"F_t{t:g}" for t in cfg.times)
-    _write(csv_path, _csv_lines(header, report.f_samples))
     payload = {
         "times": list(cfg.times),
         "n": cfg.n, "reps": cfg.reps, "seed": cfg.seed, "dt": cfg.dt,
@@ -485,21 +469,19 @@ def _run_meanfield(cfg: ExperimentConfig, manifest: Manifest, json_path: str,
              "skipped": d.skipped} for d in directions],
         "reference_size": report.ref_size,
         "reference_bias_scaled": report.ref_bias_scaled,
-        "samples_csv_path": os.path.basename(csv_path),
     }
-    _write(json_path, dumps_json(payload))
     combined = np.sqrt(report.sigma_empirical_stderr ** 2 + theory.stderr ** 2)
     gap = np.abs(report.sigma_empirical - theory.matrix)
-    manifest.checks["covariance_within_3_combined_se"] = bool(
-        np.all(gap <= 3.0 * combined + 1e-12))
     live = [d.pvalue for d in directions if not d.skipped]
-    manifest.checks["cramer_wold_p_gt_0.01"] = bool(
-        all(p > 0.01 for p in live)) if live else True
-    return all(manifest.checks.values())
+    return payload, _csv_lines(header, report.f_samples), {
+        "covariance_within_3_combined_se": bool(
+            np.all(gap <= 3.0 * combined + 1e-12)),
+        "cramer_wold_p_gt_0.01": bool(
+            all(p > 0.01 for p in live)) if live else True,
+    }
 
 
-def _run_derivcheck(cfg: ExperimentConfig, manifest: Manifest, json_path: str,
-                    csv_path: str) -> bool:
+def _run_derivcheck(cfg: ExperimentConfig) -> tuple[dict, str | None, dict]:
     rng = stream(cfg.seed, "derivcheck")
     gaps: dict[str, float] = {}
     names = [n if ":" not in n else "quantile:0.5" for n in registry_names()]
@@ -518,13 +500,10 @@ def _run_derivcheck(cfg: ExperimentConfig, manifest: Manifest, json_path: str,
         gaps[name] = worst
     payload = {"probes": cfg.probes, "seed": cfg.seed,
                "max_rel_gap": max(gaps.values()), "per_functional": gaps}
-    _write(json_path, dumps_json(payload))
-    manifest.checks["max_gap_lt_1e-6"] = bool(max(gaps.values()) < 1e-6)
-    return manifest.checks["max_gap_lt_1e-6"]
+    return payload, None, {"max_gap_lt_1e-6": bool(max(gaps.values()) < 1e-6)}
 
 
-def _run_metrics(cfg: ExperimentConfig, manifest: Manifest, json_path: str,
-                 csv_path: str) -> bool:
+def _run_metrics(cfg: ExperimentConfig) -> tuple[dict, str | None, dict]:
     rng = stream(cfg.seed, "metrics")
     axioms = metric_axiom_suite(MetricKind.wasserstein(0.5), rng,
                                 n_triples=200, tol=1e-10)
@@ -535,8 +514,7 @@ def _run_metrics(cfg: ExperimentConfig, manifest: Manifest, json_path: str,
         nu = DiscreteMeasure(rng.normal(size=(int(rng.integers(1, 7)), 1)))
         ell = float(rng.uniform(1.0, 3.0))
         fast = distance(mu, nu, MetricKind.wasserstein(ell))
-        cost = _pairwise_abs_diff(mu, nu) ** ell
-        slow = _lp_transport_cost(cost, mu.weights, nu.weights) ** (1.0 / ell)
+        slow = lp_wasserstein(mu, nu, ell)
         worst_lp = max(worst_lp, abs(fast - slow))
         lp_ok = lp_ok and abs(fast - slow) <= 1e-9
     ineq_ok = True
@@ -552,11 +530,9 @@ def _run_metrics(cfg: ExperimentConfig, manifest: Manifest, json_path: str,
         "quantile_vs_lp_max_gap": worst_lp,
         "inequality_pairs": 1000,
     }
-    _write(json_path, dumps_json(payload))
-    manifest.checks["metric_axioms"] = bool(axioms.ok)
-    manifest.checks["quantile_matches_lp"] = bool(lp_ok)
-    manifest.checks["tv_wasserstein_inequality"] = bool(ineq_ok)
-    return all(manifest.checks.values())
+    return payload, None, {"metric_axioms": bool(axioms.ok),
+                           "quantile_matches_lp": bool(lp_ok),
+                           "tv_wasserstein_inequality": bool(ineq_ok)}
 
 
 _RUNNERS = {
@@ -570,11 +546,13 @@ _RUNNERS = {
 
 
 def run(cfg: ExperimentConfig) -> int:
+    """Run one experiment and write its artifacts; each runner returns
+    (report payload, CSV text or None, checks)."""
     json_path, csv_path, manifest_path = _paths(cfg, cfg.kind)
     manifest = Manifest(manifest_path, _config_echo(cfg))
     manifest.begin()
     try:
-        passed = _RUNNERS[cfg.kind](cfg, manifest, json_path, csv_path)
+        payload, csv_text, checks = _RUNNERS[cfg.kind](cfg)
     except ConfigError as exc:
         manifest.finish("config-failure")
         print(f"config error: {exc}", file=sys.stderr)
@@ -585,6 +563,12 @@ def run(cfg: ExperimentConfig) -> int:
         manifest.finish("numeric-failure")
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    if csv_text is not None:
+        _write(csv_path, csv_text)
+        payload["samples_csv_path"] = os.path.basename(csv_path)
+    _write(json_path, dumps_json(payload))
+    manifest.checks.update(checks)
+    passed = all(checks.values())
     manifest.finish("done" if passed else "assertion-failure")
     if not passed:
         failing = [k for k, v in manifest.checks.items() if v is not True]

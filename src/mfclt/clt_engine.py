@@ -31,6 +31,8 @@ from .stats import empirical_cov, ks_test_normal, loglog_slope, normal_cdf
 
 DEGENERACY_TOL = 1e-12
 DEFAULT_QUAD_POINTS = 8
+# outer sample / stratified proxy size of the limit-variance estimate
+MC_SIZE = 1_000_000
 # generic-route decompositions re-evaluate the derivative field against the
 # base proxy once per (i, s) node; keep that proxy modest
 _GENERIC_DECOMP_PROXY = 4096
@@ -83,12 +85,12 @@ class VarianceEstimate:
         return self.value
 
 
-def asymptotic_variance(u: Functional, m0: object, mc_size: int = 1_000_000,
-                        seed: int = 0) -> VarianceEstimate:
+def asymptotic_variance(u: Functional, m0: object, seed: int = 0
+                        ) -> VarianceEstimate:
     """Limit variance of the CLT: exact on atoms, quadrature or MC otherwise.
 
     d = 1 normal/uniform laws use the deterministic stratified proxy (error
-    probed by doubling); other continuous laws fall back to mc_size i.i.d.
+    probed by doubling); other continuous laws fall back to MC_SIZE i.i.d.
     draws used both as the inner measure argument and the outer sample.
     """
     law = as_law(m0)
@@ -105,13 +107,13 @@ def asymptotic_variance(u: Functional, m0: object, mc_size: int = 1_000_000,
         return float(np.mean(vals ** 2) - np.mean(vals) ** 2)
 
     if _is_stratified(law):
-        var = _weighted_var(law.proxy_points(mc_size), law)
-        half = _weighted_var(law.proxy_points(max(mc_size // 2, 2)), law)
+        var = _weighted_var(law.proxy_points(MC_SIZE), law)
+        half = _weighted_var(law.proxy_points(MC_SIZE // 2), law)
         return VarianceEstimate(var, abs(var - half), "stratified-quadrature",
                                 var < DEGENERACY_TOL)
 
     rng = stream(seed, "asymptotic-variance")
-    draws = law.sample(rng, int(mc_size))
+    draws = law.sample(rng, MC_SIZE)
     emp = DiscreteMeasure(draws)
     vals = field.values(emp, draws)
     var = float(np.var(vals, ddof=1))
@@ -166,7 +168,7 @@ def _empirical_value_fn(u: Functional, law: object) -> Callable[[np.ndarray], fl
 
 
 def run_clt_experiment(u: Functional, m0: object, n: int, r: int, seed: int,
-                       workers: int = 1, mc_size: int = 1_000_000) -> CltReport:
+                       workers: int = 1) -> CltReport:
     """R replications of sqrt(N) (U(m^N) - U(m0)) plus the Gaussian-limit test.
 
     Replication ``rep`` draws its N points from ``stream(seed, "clt", rep)``;
@@ -175,7 +177,7 @@ def run_clt_experiment(u: Functional, m0: object, n: int, r: int, seed: int,
     if n < 1 or r < 3:
         raise EngineError("need n >= 1 and r >= 3")
     law = as_law(m0)
-    theory = asymptotic_variance(u, law, mc_size=mc_size, seed=seed)
+    theory = asymptotic_variance(u, law, seed=seed)
     u_ref, u_ref_error = _reference_value(u, law)
     value_fn = _empirical_value_fn(u, law)
     root_n = float(np.sqrt(n))
@@ -185,6 +187,8 @@ def run_clt_experiment(u: Functional, m0: object, n: int, r: int, seed: int,
         return root_n * (value_fn(pts) - u_ref)
 
     samples = np.asarray(map_replications(one_rep, r, workers), dtype=float)
+    if not np.all(np.isfinite([theory.value, u_ref, *samples])):
+        raise EngineError("non-finite limit variance, reference value or sample")
     samples.setflags(write=False)
     cov = empirical_cov(samples[:, None])
     sigma2_emp = float(cov.cov[0, 0])
@@ -230,6 +234,12 @@ def _reference_measure(law: object, proxy_size: int | None) -> DiscreteMeasure:
     raise EngineError("decomposition needs a discrete measure or a Law base")
 
 
+def _reference_moments(mf, law: object) -> np.ndarray:
+    """Moment vector of m0 (its default proxy cloud for continuous laws)."""
+    ref = _reference_measure(law, None)
+    return mf.stats(ref.points).T @ ref.weights
+
+
 def _decompose_moment_form(mf, pts: np.ndarray, v0: np.ndarray,
                            quad_points: int, keep_increments: bool
                            ) -> DecompositionRecord:
@@ -259,7 +269,6 @@ def _decompose_moment_form(mf, pts: np.ndarray, v0: np.ndarray,
 
 def martingale_decomposition(u: Functional, m0: object, samples: object,
                              quad_points: int = DEFAULT_QUAD_POINTS,
-                             proxy_size: int | None = None,
                              keep_increments: bool = False) -> DecompositionRecord:
     """Split U(m^N) - U(m0) into the martingale part Q_N plus remainder R_N.
 
@@ -276,13 +285,11 @@ def martingale_decomposition(u: Functional, m0: object, samples: object,
 
     mf = u.moment_form()
     if mf is not None:
-        ref = _reference_measure(law, proxy_size)
-        v0 = mf.stats(ref.points).T @ ref.weights
-        return _decompose_moment_form(mf, pts, v0, quad_points, keep_increments)
+        return _decompose_moment_form(mf, pts, _reference_moments(mf, law),
+                                      quad_points, keep_increments)
 
     # generic route: build each interpolated measure explicitly
-    ref = _reference_measure(
-        law, proxy_size if proxy_size is not None else _GENERIC_DECOMP_PROXY)
+    ref = _reference_measure(law, _GENERIC_DECOMP_PROXY)
     field = u.derivative(1)
     nodes, weights = _gauss_legendre_01(quad_points)
     q_n = 0.0
@@ -315,16 +322,13 @@ def martingale_decomposition(u: Functional, m0: object, samples: object,
 
 def decompose_many(u: Functional, m0: object, n: int, r: int, seed: int,
                    quad_points: int = DEFAULT_QUAD_POINTS, workers: int = 1,
-                   proxy_size: int | None = None,
                    keep_increments: bool = False) -> list[DecompositionRecord]:
     """R independent decompositions; replication rep draws from
     stream(seed, "decompose", rep)."""
     law = as_law(m0)
     mf = u.moment_form()
     if mf is not None:
-        # share the reference moment vector across replications
-        ref = _reference_measure(law, proxy_size)
-        v0 = mf.stats(ref.points).T @ ref.weights
+        v0 = _reference_moments(mf, law)  # shared across replications
 
         def one_rep(rep: int) -> DecompositionRecord:
             pts = _draw(law, stream(seed, "decompose", rep), n)
@@ -334,10 +338,13 @@ def decompose_many(u: Functional, m0: object, n: int, r: int, seed: int,
         def one_rep(rep: int) -> DecompositionRecord:
             pts = _draw(law, stream(seed, "decompose", rep), n)
             return martingale_decomposition(
-                u, law, pts, quad_points=quad_points, proxy_size=proxy_size,
+                u, law, pts, quad_points=quad_points,
                 keep_increments=keep_increments)
 
-    return map_replications(one_rep, r, workers)
+    records = map_replications(one_rep, r, workers)
+    if not np.all(np.isfinite([(x.delta_u, x.q_n, x.r_n) for x in records])):
+        raise EngineError("non-finite decomposition (delta U, Q_N or R_N)")
+    return records
 
 
 # ---------------------------------------------------------------------------
@@ -417,8 +424,7 @@ def martingale_increment_regression(u: Functional, m0: object, n: int, r: int,
         raise EngineError("probe indices must lie in [2, n]")
 
     mf = u.moment_form()
-    ref = _reference_measure(law, None)
-    v0 = mf.stats(ref.points).T @ ref.weights
+    v0 = _reference_moments(mf, law)
     m2 = law.moment(2.0)  # theoretical centering keeps features past-measurable
 
     responses = {i: np.zeros(r) for i in indices}

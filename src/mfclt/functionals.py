@@ -405,8 +405,7 @@ class UStatistic(Functional):
     def __init__(self, phi: Callable, n: int,
                  product_kernel: Callable[[np.ndarray], np.ndarray] | None = None,
                  dim: int | None = None, name: str = "",
-                 growth_k: float | None = None, growth_ell: float | None = None,
-                 check_symmetry: bool = True):
+                 growth_k: float | None = None, growth_ell: float | None = None):
         if n < 1:
             raise FunctionalError("UStatistic order n must be >= 1")
         self.phi = phi
@@ -414,7 +413,7 @@ class UStatistic(Functional):
         self.product_kernel = product_kernel
         super().__init__(dim, name, growth_k, growth_ell)
         self.max_order = self.n
-        if check_symmetry and n > 1:
+        if n > 1:
             _symmetry_spot_check(phi, self.n, dim if dim is not None else 1)
 
     def value(self, mu: object) -> float:

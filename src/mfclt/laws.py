@@ -285,7 +285,7 @@ class MixtureLaw:
         return _bisect_quantile(self.cdf, v)
 
 
-def as_law(base: object, proxy_size: int = DEFAULT_PROXY_SIZE) -> object:
+def as_law(base: object) -> object:
     """Normalize a base-measure argument to something measure-like.
 
     DiscreteMeasure and MixtureLaw pass through; SamplerSpec is wrapped in a
@@ -296,5 +296,5 @@ def as_law(base: object, proxy_size: int = DEFAULT_PROXY_SIZE) -> object:
     if isinstance(base, SamplerSpec):
         if base.kind == "atoms":
             return base.atoms
-        return Law(base, proxy_size=proxy_size)
+        return Law(base)
     raise LawError(f"cannot interpret {type(base).__name__} as a base measure")

@@ -166,42 +166,38 @@ def model_names() -> list[str]:
 
 def _steps_for(t: float, dt: float) -> int:
     k = int(round(t / dt))
-    if abs(k * dt - t) > 1e-9 * max(1.0, abs(t)):
-        raise MeanFieldError(f"time {t} is not on the dt={dt} grid")
+    if k < 0 or abs(k * dt - t) > 1e-9 * max(1.0, abs(t)):
+        raise MeanFieldError(f"time {t} is negative or not on the dt={dt} grid")
     return k
 
 
 def _integrate(model: MkvModel, points: np.ndarray,
-               weights: np.ndarray | None, steps: int, dt: float,
+               weights: np.ndarray | None, dt: float,
                noise_fn: Callable[[int], np.ndarray],
-               snapshot_steps: Sequence[int] = ()) -> tuple[np.ndarray, dict]:
-    """Run the batched integrator; snapshots are copies keyed by step index."""
+               snapshot_steps: Sequence[int]) -> np.ndarray:
+    """Run the batched integrator to the last of the ascending snapshot_steps;
+    returns the states at those steps as one (K, B, n, d) array."""
     x = np.array(points, dtype=float)
-    snaps = {}
-    if 0 in snapshot_steps:
-        snaps[0] = x.copy()
+    snaps = np.empty((len(snapshot_steps),) + x.shape)
     root_dt = np.sqrt(dt)
-    for k in range(steps):
-        mu = BatchEmpirical(x, weights)
-        bx = np.asarray(model.drift(x, mu), dtype=float)
-        sx = np.asarray(model.diffusion(x, mu), dtype=float)
-        xi = noise_fn(k)  # (n, noise_dim), shared across the batch (CRN)
-        if sx.shape[-1] == 1:
-            x = x + bx * dt + root_dt * (sx[..., 0] * xi)
-        else:
-            x = x + bx * dt + root_dt * np.einsum(
-                "...ij,...j->...i", sx,
-                np.broadcast_to(xi, x.shape[:-1] + xi.shape[-1:]))
-        if not np.all(np.isfinite(x)):
-            raise MeanFieldError(f"non-finite particle state at step {k + 1}")
-        if (k + 1) in snapshot_steps:
-            snaps[k + 1] = x.copy()
-    return x, snaps
-
-
-def _plain_noise(rng: np.random.Generator, n: int, d_noise: int
-                 ) -> Callable[[int], np.ndarray]:
-    return lambda k: rng.standard_normal((n, d_noise))
+    k = 0
+    for j, stop in enumerate(snapshot_steps):
+        while k < stop:
+            mu = BatchEmpirical(x, weights)
+            bx = np.asarray(model.drift(x, mu), dtype=float)
+            sx = np.asarray(model.diffusion(x, mu), dtype=float)
+            xi = noise_fn(k)  # (n, noise_dim), shared across the batch (CRN)
+            if sx.shape[-1] == 1:
+                x = x + bx * dt + root_dt * (sx[..., 0] * xi)
+            else:
+                x = x + bx * dt + root_dt * np.einsum(
+                    "...ij,...j->...i", sx,
+                    np.broadcast_to(xi, x.shape[:-1] + xi.shape[-1:]))
+            k += 1
+            if not np.all(np.isfinite(x)):
+                raise MeanFieldError(f"non-finite particle state at step {k}")
+        snaps[j] = x
+    return snaps
 
 
 def _antithetic_noise(rng: np.random.Generator, n: int, extra: int,
@@ -221,6 +217,16 @@ def _antithetic_noise(rng: np.random.Generator, n: int, extra: int,
     return draw
 
 
+def _particle_run(model: MkvModel, n: int, dt: float,
+                  snapshot_steps: Sequence[int], init_rng: np.random.Generator,
+                  noise_rng: np.random.Generator) -> np.ndarray:
+    """(K, n, d) states at snapshot_steps of one N-particle run: i.i.d.
+    initial draws from init_rng, plain Gaussian noise from noise_rng."""
+    x0 = model.initial.sample(init_rng, n)[None]
+    noise = lambda k: noise_rng.standard_normal((n, model.noise_dim))
+    return _integrate(model, x0, None, dt, noise, snapshot_steps)[:, 0]
+
+
 def simulate_particles(model: MkvModel, n: int, dt: float, t: float,
                        seed: int) -> np.ndarray:
     """(steps+1, N, d) Euler-Maruyama trajectory of the N-particle system."""
@@ -228,13 +234,8 @@ def simulate_particles(model: MkvModel, n: int, dt: float, t: float,
         raise MeanFieldError("need at least two particles")
     if dt <= 0 or t < dt:
         raise MeanFieldError("need dt > 0 and T >= dt")
-    steps = _steps_for(t, dt)
-    rng = stream(seed, "particles")
-    x0 = model.initial.sample(rng, n)[None]  # (1, N, d)
-    noise = _plain_noise(stream(seed, "particles-noise"), n, model.noise_dim)
-    _, snaps = _integrate(model, x0, None, steps, dt, noise,
-                          snapshot_steps=range(steps + 1))
-    return np.stack([snaps[k][0] for k in range(steps + 1)])
+    return _particle_run(model, n, dt, range(_steps_for(t, dt) + 1),
+                         stream(seed, "particles"), stream(seed, "particles-noise"))
 
 
 def _stratified_initial(base: object, m: int, rng: np.random.Generator
@@ -261,31 +262,27 @@ def _stratified_initial(base: object, m: int, rng: np.random.Generator
 
 
 def simulate_limit_reference(model: MkvModel, m: int, dt: float, t: float,
-                             seed: int, antithetic: bool = True,
-                             snapshot_times: Sequence[float] = ()
+                             seed: int, snapshot_times: Sequence[float] = ()
                              ) -> tuple[np.ndarray, dict]:
     """High-M self-interacting run whose clouds proxy the limit law mu_t.
 
     Returns (trajectory-final cloud (m, d), {time: cloud}).  The initial cloud
-    is stratified and the noise antithetically paired by default; that removes
-    the O(M^-1/2) mean noise for linear models and shrinks it otherwise.  The
+    is stratified and the noise antithetically paired; that removes the
+    O(M^-1/2) mean noise for linear models and shrinks it otherwise.  The
     remaining bias is the caller's to estimate (see reference_spread).
     """
     if m % 2:
         m += 1
     steps = _steps_for(t, dt)
-    snap_steps = {_steps_for(s, dt): s for s in snapshot_times}
+    snap_steps = [_steps_for(s, dt) for s in snapshot_times]
+    grid = sorted({*snap_steps, steps})
     rng = stream(seed, "reference-init")
     x0 = _stratified_initial(model.initial, m, rng)[None]
-    if antithetic:
-        noise = _antithetic_noise(stream(seed, "reference-noise"), m, 0,
-                                  model.noise_dim)
-    else:
-        noise = _plain_noise(stream(seed, "reference-noise"), m, model.noise_dim)
-    final, snaps = _integrate(model, x0, None, steps, dt, noise,
-                              snapshot_steps=sorted({*snap_steps, steps}))
-    clouds = {snap_steps[k]: snaps[k][0] for k in snap_steps}
-    return final[0], clouds
+    noise = _antithetic_noise(stream(seed, "reference-noise"), m, 0,
+                              model.noise_dim)
+    snaps = _integrate(model, x0, None, dt, noise, grid)[:, 0]
+    clouds = {s: snaps[grid.index(k)] for s, k in zip(snapshot_times, snap_steps)}
+    return snaps[grid.index(steps)], clouds
 
 
 def reference_spread(phi: Functional, cloud: np.ndarray) -> float:
@@ -348,20 +345,15 @@ def fluctuation_process(phi: Functional, model: MkvModel, n: int,
     ref_values = np.asarray([_phi_on_cloud(phi, ref_clouds[t]) for t in times])
     ref_bias = np.asarray(
         [reference_spread(phi, ref_clouds[t]) for t in times])
-    steps = _steps_for(horizon, dt)
-    snap_steps = {_steps_for(t, dt): i for i, t in enumerate(times)}
+    snap_steps = [_steps_for(t, dt) for t in times]
     root_n = float(np.sqrt(n))
 
     def one_rep(rep: int) -> np.ndarray:
-        init_rng = stream(seed, "fluct-init", rep)
-        x0 = model.initial.sample(init_rng, n)[None]
-        noise = _plain_noise(stream(seed, "fluct-noise", rep), n, model.noise_dim)
-        _, snaps = _integrate(model, x0, None, steps, dt, noise,
-                              snapshot_steps=snap_steps.keys())
-        out = np.empty(len(times))
-        for k_step, idx in snap_steps.items():
-            out[idx] = root_n * (_phi_on_cloud(phi, snaps[k_step][0]) - ref_values[idx])
-        return out
+        snaps = _particle_run(model, n, dt, snap_steps,
+                              stream(seed, "fluct-init", rep),
+                              stream(seed, "fluct-noise", rep))
+        values = np.asarray([_phi_on_cloud(phi, cloud) for cloud in snaps])
+        return root_n * (values - ref_values)
 
     f_samples = np.asarray(map_replications(one_rep, r, workers))
     f_samples.setflags(write=False)
@@ -382,7 +374,7 @@ def fluctuation_process(phi: Functional, model: MkvModel, n: int,
 class MasterEvaluator:
     """Nested Monte Carlo evaluator of V(t, mu) = Phi(Law(X_t | X_0 ~ mu)).
 
-    ``m`` inner particles (even), measure step ``eps``, spatial step ``h``.
+    ``m`` inner particles (even), measure step ``eps``, spatial step DEFAULT_H.
     All runs with the same seed share one noise tensor (CRN): clouds are laid
     out as [m base atoms | slot z | slot y], and perturbations only reweight
     or move the slots, so finite differences subtract coupled runs.
@@ -393,14 +385,12 @@ class MasterEvaluator:
     m: int = 2000
     dt: float = DEFAULT_DT
     eps: float = DEFAULT_EPS
-    h: float = DEFAULT_H
-    antithetic: bool = True
 
     def __post_init__(self):
         if self.m < 4 or self.m % 2:
             raise MeanFieldError("inner particle count must be even and >= 4")
-        if self.eps <= 0 or self.h <= 0 or self.dt <= 0:
-            raise MeanFieldError("eps, h, dt must be positive")
+        if self.eps <= 0 or self.dt <= 0:
+            raise MeanFieldError("eps and dt must be positive")
 
 
 def _even_counts(weights: np.ndarray, m: int) -> np.ndarray:
@@ -488,22 +478,10 @@ def _run_configs(ev: MasterEvaluator, steps: int, base_pts: np.ndarray,
         weights[i, :m] = base_scale[i] * base_w
         weights[i, m] = weights[i, m + 1] = zw / 2.0
         weights[i, m + 2] = weights[i, m + 3] = yw / 2.0
-    if ev.antithetic:
-        noise = _antithetic_noise(stream(seed, "master-noise"), m, 4,
-                                  ev.model.noise_dim)
-    else:
-        noise = _plain_noise(stream(seed, "master-noise"), m + 4,
-                             ev.model.noise_dim)
-    final, _ = _integrate(ev.model, points, weights, steps, ev.dt, noise)
+    noise = _antithetic_noise(stream(seed, "master-noise"), m, 4,
+                              ev.model.noise_dim)
+    final = _integrate(ev.model, points, weights, ev.dt, noise, (steps,))[0]
     return final, weights
-
-
-def _master_batch(ev: MasterEvaluator, steps: int, base_pts: np.ndarray,
-                  base_w: np.ndarray, configs, base_scale: np.ndarray,
-                  seed: int) -> np.ndarray:
-    final, weights = _run_configs(ev, steps, base_pts, base_w, configs,
-                                  base_scale, seed)
-    return _phi_batch(ev.phi, final, weights)
 
 
 def _slot_values(ev: MasterEvaluator, steps: int, pts: np.ndarray,
@@ -517,7 +495,8 @@ def _slot_values(ev: MasterEvaluator, steps: int, pts: np.ndarray,
     zero = np.zeros(pts.shape[1])
     configs = [(zero, 0.0, y, eps) for y in ys]
     scale = np.full(len(configs), 1.0 - eps)
-    return _master_batch(ev, steps, pts, base_w, configs, scale, seed)
+    return _phi_batch(ev.phi, *_run_configs(ev, steps, pts, base_w, configs,
+                                            scale, seed))
 
 
 def _lderiv(ev: MasterEvaluator, steps: int, pts: np.ndarray,
@@ -526,11 +505,11 @@ def _lderiv(ev: MasterEvaluator, steps: int, pts: np.ndarray,
     of the eps-slot values.  The y = 0 baseline cancels, so only shifted
     slots run."""
     p, d = ys.shape
-    e = ev.h * np.eye(d)[:, None, :]  # (d, 1, d)
+    e = DEFAULT_H * np.eye(d)[:, None, :]  # (d, 1, d)
     shifted = np.stack([ys[None] + e, ys[None] - e], axis=2)  # (d, P, 2, d)
     vals = _slot_values(ev, steps, pts, base_w, shifted.reshape(-1, d),
                         ev.eps, seed).reshape(d, p, 2)
-    return ((vals[..., 0] - vals[..., 1]) / (2.0 * ev.h * ev.eps)).T
+    return ((vals[..., 0] - vals[..., 1]) / (2.0 * DEFAULT_H * ev.eps)).T
 
 
 def master_value(ev: MasterEvaluator, t: float, mu: object, seed: int) -> float:
@@ -608,7 +587,8 @@ def master_lfd2(ev: MasterEvaluator, t: float, nu: object, y: object,
         (zero, 0.0, zero, eps),
     ]
     scale = np.asarray([(1 - eps) ** 2, (1 - eps) ** 2, 1 - eps, 1 - eps])
-    v = _master_batch(ev, steps, pts, base_w, configs, scale, seed)
+    v = _phi_batch(ev.phi, *_run_configs(ev, steps, pts, base_w, configs,
+                                         scale, seed))
     return float(((v[0] - v[1]) - (v[2] - v[3])) / eps ** 2)
 
 
@@ -628,7 +608,7 @@ def theta_second_derivative(ev: MasterEvaluator, t: float, nu: object,
     law = as_law(nu)
     steps = _steps_for(t, ev.dt)
     pts, base_w = _base_cloud(ev, law, seed)
-    eps, h = ev.eps, ev.h
+    eps, h = ev.eps, DEFAULT_H
     e = np.asarray([h])
     configs = [(z + a * e, eps * (1 - eps), y + b * e, eps)
                for a in (+1, -1) for b in (+1, -1)]
@@ -652,12 +632,10 @@ def theta_second_derivative(ev: MasterEvaluator, t: float, nu: object,
 
 @dataclass(frozen=True)
 class CovarianceConfig:
-    """Estimator knobs for the two-term fluctuation covariance."""
+    """Sample sizes and grids of the two-term fluctuation covariance."""
 
     inner_m: int = 2000
     dt: float = DEFAULT_DT
-    eps: float = DEFAULT_EPS
-    h: float = DEFAULT_H
     xi_probes: int = 64
     path_probes: int = 32
     s_stride: int = 1  # left-Riemann stride over the dt grid
@@ -731,8 +709,7 @@ def theoretical_covariance(phi: Functional, model: MkvModel,
     else:
         gate = "hypothesis flags satisfied"
 
-    ev = MasterEvaluator(phi, model, m=config.inner_m, dt=config.dt,
-                         eps=config.eps, h=config.h)
+    ev = MasterEvaluator(phi, model, m=config.inner_m, dt=config.dt)
     nu = as_law(model.initial)
 
     def term1_at(p: int, sub_seed: int) -> np.ndarray:
@@ -743,10 +720,10 @@ def theoretical_covariance(phi: Functional, model: MkvModel,
 
     def term2_at(p: int, sub_seed: int) -> np.ndarray:
         horizon = times[-1]
-        _, ref_clouds = simulate_limit_reference(
+        final, ref_clouds = simulate_limit_reference(
             model, config.ref_size, config.dt, horizon, sub_seed,
             snapshot_times=_s_grid(times, config))
-        m_ref = next(iter(ref_clouds.values())).shape[0]
+        m_ref = final.shape[0]
         # spread antithetic pairs across the cloud as path probes
         pair_idx = (np.arange(p // 2) * (m_ref // 2) // max(p // 2, 1)) * 2
         idx = np.sort(np.concatenate([pair_idx, pair_idx + 1]))
@@ -807,11 +784,11 @@ class MasterResidual:
 
 
 def master_equation_residual(ev: MasterEvaluator, t: float, mu: object,
-                             seed: int, tau: float | None = None
-                             ) -> MasterResidual:
+                             seed: int) -> MasterResidual:
     """|dV/dt - int [d_mu V . b + 1/2 tr(a d_v d_mu V)] dmu| at (t, mu).
 
-    All derivatives are finite differences under CRN; d = 1 only.  The budget
+    All derivatives are finite differences under CRN (tau = 2 dt, h =
+    DEFAULT_H); d = 1 only.  The budget
     3 * spread + (5 dt + 5 tau^2 + 5 h^2 + eps) * (1 + |lhs| + |rhs|) combines
     a two-seed Monte Carlo spread with first-order discretization allowances;
     it is a smoke-test tolerance, not a proven bound.
@@ -819,10 +796,9 @@ def master_equation_residual(ev: MasterEvaluator, t: float, mu: object,
     if ev.model.dim != 1:
         raise MeanFieldError("master-equation residual implemented for d = 1")
     law = as_law(mu)
-    tau = 2 * ev.dt if tau is None else float(tau)
+    tau, h = 2 * ev.dt, DEFAULT_H
     if t - tau < -1e-12:
         raise MeanFieldError("need t >= tau for the centered time difference")
-    _steps_for(tau, ev.dt)
 
     if isinstance(law, DiscreteMeasure):
         support = law
@@ -841,7 +817,7 @@ def master_equation_residual(ev: MasterEvaluator, t: float, mu: object,
     def rhs_at(s: int) -> float:
         steps = _steps_for(t, ev.dt)
         pts, base_w = _base_cloud(ev, law, s)
-        eps, h = ev.eps, ev.h
+        eps = ev.eps
         stencil = support.points + np.asarray([h, 0.0, -h])  # (atoms, 3)
         vals = _slot_values(ev, steps, pts, base_w, stencil.reshape(-1, 1),
                             eps, s).reshape(support.natoms, 3)
@@ -859,7 +835,7 @@ def master_equation_residual(ev: MasterEvaluator, t: float, mu: object,
     spread = max(abs(lhs - lhs_b), abs(rhs - rhs_b))
     residual = abs(lhs - rhs)
     scale = 1.0 + abs(lhs) + abs(rhs)
-    budget = 3.0 * spread + (5 * ev.dt + 5 * tau ** 2 + 5 * ev.h ** 2 + ev.eps) * scale
+    budget = 3.0 * spread + (5 * ev.dt + 5 * tau ** 2 + 5 * h ** 2 + ev.eps) * scale
     return MasterResidual(lhs=lhs, rhs=rhs, residual=residual, budget=budget,
                           mc_spread=spread, tau=tau)
 
@@ -877,8 +853,8 @@ class ProbeReport:
 
 
 def time_regularity_probe(phi: Functional, model: MkvModel, t1: float,
-                          t2: float, n_grid: Sequence[int], r: int, seed: int,
-                          dt: float = DEFAULT_DT) -> ProbeReport:
+                          t2: float, n_grid: Sequence[int], r: int, seed: int
+                          ) -> ProbeReport:
     """Slope in N of E|(V(t2, mu0^N) - V(t2, nu)) - (V(t1, mu0^N) - V(t1, nu))|^4.
 
     The N initial atoms are used directly as the inner cloud (one CRN run per
@@ -889,23 +865,20 @@ def time_regularity_probe(phi: Functional, model: MkvModel, t1: float,
         raise MeanFieldError("need 0 < t1 < t2")
     grid = tuple(int(n) for n in n_grid)
     m_ref = _REF_FACTOR * max(grid)
-    _, ref_clouds = simulate_limit_reference(model, m_ref, dt, t2, seed,
+    _, ref_clouds = simulate_limit_reference(model, m_ref, DEFAULT_DT, t2, seed,
                                              snapshot_times=(t1, t2))
     ref1 = _phi_on_cloud(phi, ref_clouds[t1])
     ref2 = _phi_on_cloud(phi, ref_clouds[t2])
-    steps2 = _steps_for(t2, dt)
-    k1 = _steps_for(t1, dt)
+    snap_steps = (_steps_for(t1, DEFAULT_DT), _steps_for(t2, DEFAULT_DT))
     values = []
     for n in grid:
         acc = 0.0
         for rep in range(r):
-            x0 = model.initial.sample(stream(seed, "time-reg-init", n, rep), n)[None]
-            noise = _plain_noise(stream(seed, "time-reg-noise", n, rep), n,
-                                 model.noise_dim)
-            _, snaps = _integrate(model, x0, None, steps2, dt, noise,
-                                  snapshot_steps=(k1, steps2))
-            d2 = _phi_on_cloud(phi, snaps[steps2][0]) - ref2
-            d1 = _phi_on_cloud(phi, snaps[k1][0]) - ref1
+            at1, at2 = _particle_run(model, n, DEFAULT_DT, snap_steps,
+                                     stream(seed, "time-reg-init", n, rep),
+                                     stream(seed, "time-reg-noise", n, rep))
+            d2 = _phi_on_cloud(phi, at2) - ref2
+            d1 = _phi_on_cloud(phi, at1) - ref1
             acc += (d2 - d1) ** 4
         values.append(acc / r)
     fit = loglog_slope(np.asarray(grid, dtype=float), np.asarray(values))
@@ -938,22 +911,20 @@ class DirectionTest:
     skipped: bool
 
 
-def cramer_wold_normality(f_samples: np.ndarray, sigma_theory: np.ndarray,
-                          directions: Sequence[Sequence[float]] | None = None
+def cramer_wold_normality(f_samples: np.ndarray, sigma_theory: np.ndarray
                           ) -> list[DirectionTest]:
     """KS test of theta^T F^N against N(0, theta^T Sigma theta) per direction.
 
-    Defaults: the coordinate axes plus, for K > 1, the normalized all-ones
+    Directions: the coordinate axes plus, for K > 1, the normalized all-ones
     direction.  Degenerate directions (zero theoretical variance) are skipped
     and flagged.
     """
     f = np.asarray(f_samples, dtype=float)
     sigma = np.asarray(sigma_theory, dtype=float)
     k = f.shape[1]
-    if directions is None:
-        directions = [tuple(np.eye(k)[i]) for i in range(k)]
-        if k > 1:  # with one time the all-ones direction is the axis itself
-            directions.append(tuple(np.full(k, 1.0 / np.sqrt(k))))
+    directions = [tuple(np.eye(k)[i]) for i in range(k)]
+    if k > 1:  # with one time the all-ones direction is the axis itself
+        directions.append(tuple(np.full(k, 1.0 / np.sqrt(k))))
     out = []
     for theta in directions:
         th = np.asarray(theta, dtype=float)

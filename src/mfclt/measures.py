@@ -347,12 +347,19 @@ def distance(
         ell = kind.ell
         if mu.dim == 1 and ell >= 1.0:
             return _quantile_coupling_cost(mu, nu, ell) ** (1.0 / ell)
-        _check_cap(mu, nu, support_cap)
-        cost = _pairwise_abs_diff(mu, nu) ** ell
-        opt = _lp_transport_cost(cost, mu.weights, nu.weights)
-        return opt ** (1.0 / max(ell, 1.0))
+        return lp_wasserstein(mu, nu, ell, support_cap)
 
     raise MeasureError(f"unknown metric kind {kind.tag!r}")
+
+
+def lp_wasserstein(mu: DiscreteMeasure, nu: DiscreteMeasure, ell: float,
+                   support_cap: int = DEFAULT_SUPPORT_CAP) -> float:
+    """``wasserstein(ell)`` by the explicit LP in any dimension; in d = 1 with
+    ell >= 1 it cross-checks the quantile coupling of ``distance``."""
+    _check_cap(mu, nu, support_cap)
+    cost = _pairwise_abs_diff(mu, nu) ** ell
+    opt = _lp_transport_cost(cost, mu.weights, nu.weights)
+    return opt ** (1.0 / max(ell, 1.0))
 
 
 def _check_cap(mu: DiscreteMeasure, nu: DiscreteMeasure, cap: int) -> None:

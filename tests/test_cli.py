@@ -144,7 +144,11 @@ def test_config_error_exit_code(tmp_path, capsys):
                        "--law", law, "--seed", "1") == EXIT_CONFIG
     assert run_cli(tmp_path, "meanfield", "run", "--model", "ou",
                    "--times", "0.105", "--seed", "1") == EXIT_CONFIG
-    assert "not on the dt=0.01 grid" in capsys.readouterr().err
+    assert run_cli(tmp_path, "meanfield", "run", "--model", "ou",
+                   "--times=-0.1,0.1", "--seed", "1") == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "not on the dt=0.01 grid" in err
+    assert "time -0.1 is negative" in err
     assert not list(tmp_path.iterdir())  # rejected before any artifact
 
 
@@ -172,14 +176,24 @@ def test_assertion_failure_exit_code(tmp_path):
 
 
 def test_numeric_failure_exit_code(tmp_path):
-    # ou claims no hypothesis flags, so the strict gate refuses to run
-    code = run_cli(tmp_path, "meanfield", "run", "--model", "ou",
-                   "--phi", "linear-mean", "--no-force", "--n", "50",
-                   "--reps", "10", "--seed", "1", "--out", "m.json")
-    assert code == EXIT_NUMERIC
-    manifest = json.loads((tmp_path / "m.manifest.json").read_text())
-    assert manifest["status"] == "numeric-failure"
-    assert "error" in manifest["checks"]
+    # ou claims no hypothesis flags, so the strict gate refuses to run; the
+    # cube of the second moment overflows under sd = 1e80 in every clt action
+    overflow = ("--functional", "cube-of-second-moment", "--law",
+                "normal:0,1e80", "--n", "50", "--reps", "5")
+    cases = {
+        "m": ("meanfield", "run", "--model", "ou", "--phi", "linear-mean",
+              "--no-force", "--n", "50", "--reps", "10"),
+        "run": ("clt", "run", *overflow),
+        "decompose": ("clt", "decompose", *overflow),
+        "scaling": ("clt", "scaling", *overflow, "--n-grid", "50,100"),
+    }
+    for stem, args in cases.items():
+        code = run_cli(tmp_path, *args, "--seed", "1", "--out", f"{stem}.json")
+        assert code == EXIT_NUMERIC, stem
+        manifest = json.loads((tmp_path / f"{stem}.manifest.json").read_text())
+        assert manifest["status"] == "numeric-failure"
+        assert "error" in manifest["checks"]
+        assert not (tmp_path / f"{stem}.json").exists()
 
 
 def test_scaling_run(tmp_path):

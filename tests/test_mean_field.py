@@ -4,6 +4,8 @@ Oracles are closed forms under Euler dynamics: an OU cloud started at the
 Dirac at x0 has mean x0 * (1 - dt)^k after k steps, and the OU fluctuation
 covariance is Sigma_ij = e^{-(ti+tj)} (1 + (e^{2 min(ti,tj)} - 1) / 2).
 """
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -407,6 +409,49 @@ def test_covariance_pinned_outputs(model_name):
         CovarianceConfig(force=True, inner_m=400, ref_size=800), seed=3)
     for key, want in PINNED_COVARIANCE[model_name].items():
         assert getattr(res, key).tolist() == want, key
+
+
+def _digest(a) -> str:
+    raw = np.ascontiguousarray(a, dtype=float).tobytes()
+    return hashlib.sha256(raw).hexdigest()[:16]
+
+
+def test_particle_drivers_pinned_outputs():
+    # every N-particle and reference run goes through one Euler driver; these
+    # exact values (or digests of the raw float64 bytes) guard its arithmetic
+    ou = make_model("ou")
+    path = simulate_particles(ou, 8, 0.01, 0.1, seed=11)
+    assert path.shape == (11, 8, 1)
+    assert _digest(path) == "a3045ba1e61fae8f"
+    assert path[-1, :, 0].tolist() == [
+        -0.34365681081295707, 0.9331559882116783, 0.9620638163582803,
+        -0.255490091573089, 0.902660145498724, 1.8953610929947693,
+        1.430841627379433, -0.9988537140676943]
+    final, clouds = simulate_limit_reference(ou, 200, 0.01, 0.1, seed=13,
+                                             snapshot_times=(0.05, 0.1))
+    assert final.shape == (200, 1) and sorted(clouds) == [0.05, 0.1]
+    assert [_digest(final), _digest(clouds[0.05]), _digest(clouds[0.1])] == [
+        "f6df5086dbb63c04", "359f0c34fd2e4928", "f6df5086dbb63c04"]
+    rep = fluctuation_process(make_functional("mean-square"), ou, 50,
+                              (0.05, 0.1), 5, seed=17)
+    assert rep.f_samples.tolist() == [
+        [0.3076795099910766, 0.19891897993102312],
+        [0.21180676103148824, 0.15761432724516983],
+        [0.050640015075502885, 0.026725814531021456],
+        [0.04917325117620014, 0.14078405202867592],
+        [1.4704794000266035, 1.291766857985135]]
+    probe = time_regularity_probe(LINEAR_MEAN, ou, 0.05, 0.1, n_grid=(10, 20),
+                                  r=3, seed=19)
+    assert probe.values == (0.00012924906687350056, 2.8942699655682235e-05)
+
+
+def test_covariance_zero_horizon_is_the_initial_clt():
+    # at t = 0 the time-evolution term integrates over [0, 0], and the
+    # initialisation term of linear-mean under N(0, 1) is Var N(0, 1) = 1
+    res = theoretical_covariance(LINEAR_MEAN, make_model("ou"), (0.0,),
+                                 CovarianceConfig(force=True), seed=1)
+    assert res.term2.tolist() == [[0.0]]
+    assert abs(res.matrix[0, 0] - 1.0) <= 1e-12
 
 
 @pytest.mark.parametrize("phi_name, lhs, rhs", [
