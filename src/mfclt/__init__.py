@@ -86,7 +86,6 @@ from .stats import (
     loglog_slope,
     normal_cdf,
     normal_quantile,
-    qq_points,
 )
 
 __version__ = "0.1.0"

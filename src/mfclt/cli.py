@@ -107,6 +107,14 @@ class ExperimentConfig:
             problems.append("dt must be positive")
         if self.workers <= 0:
             problems.append("workers must be positive")
+        if self.probes <= 0:
+            problems.append("probes must be positive")
+        if self.kind in ("clt", "meanfield") and self.reps < 3:
+            problems.append("reps must be at least 3 for jackknife errors")
+        if self.ref_size is not None and self.ref_size < 3:
+            problems.append("ref_size must be at least 3 (its split halves need 2 rows)")
+        if self.kind == "scaling" and len(self.n_grid) < 2:
+            problems.append("n_grid needs at least two points")
         if any(b <= a for a, b in zip(self.n_grid, self.n_grid[1:])):
             problems.append("n_grid must be strictly increasing")
         if any(b <= a for a, b in zip(self.times, self.times[1:])):

@@ -159,7 +159,7 @@ def _reference_value(u: Functional, law: object) -> tuple[float, float]:
     return full, abs(full - half)
 
 
-def _empirical_value_fn(u: Functional, law: object) -> Callable[[np.ndarray], float]:
+def _empirical_value_fn(u: Functional) -> Callable[[np.ndarray], float]:
     """U(empirical measure of a sample block), vectorized where possible."""
     mf = u.moment_form()
     if mf is not None:
@@ -179,7 +179,7 @@ def run_clt_experiment(u: Functional, m0: object, n: int, r: int, seed: int,
     law = as_law(m0)
     theory = asymptotic_variance(u, law, seed=seed)
     u_ref, u_ref_error = _reference_value(u, law)
-    value_fn = _empirical_value_fn(u, law)
+    value_fn = _empirical_value_fn(u)
     root_n = float(np.sqrt(n))
 
     def one_rep(rep: int) -> float:

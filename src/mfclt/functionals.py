@@ -1,4 +1,4 @@
-"""Composable functionals U on probability measures with exact derivative fields.
+"""Functionals U on probability measures with exact derivative fields.
 
 The AST nodes mirror the closed-form derivative rules for measure functionals:
 
@@ -10,8 +10,6 @@ The AST nodes mirror the closed-form derivative rules for measure functionals:
 * ``Quantile``: the level-v generalized inverse of the CDF (d = 1).
 * ``NestedIntegrand`` / ``ExternalIntegral``: integrands that themselves depend
   on the measure, with trusted derivative callbacks.
-* ``Sum`` / ``Scale`` / ``Product``: closure under linear combinations and
-  products (product derivatives up to order 2).
 
 Derivative fields of order j are normalized to vanish whenever any spatial
 argument is the origin; every closed form below builds that in as an exact
@@ -184,48 +182,6 @@ class MomentForm:
         return np.asarray(self.grad_fn(np.asarray(v, dtype=float)), dtype=float)
 
 
-def _mf_concat_stats(a: MomentForm, b: MomentForm):
-    def stat_fn(points):
-        return np.concatenate([a.stats(points), b.stats(points)], axis=-1)
-
-    return stat_fn
-
-
-def _mf_sum(a: MomentForm, b: MomentForm) -> MomentForm:
-    qa = a.stat_dim
-
-    def value_fn(v):
-        return a.value(v[..., :qa]) + b.value(v[..., qa:])
-
-    def grad_fn(v):
-        return np.concatenate([a.grad(v[..., :qa]), b.grad(v[..., qa:])], axis=-1)
-
-    return MomentForm(qa + b.stat_dim, _mf_concat_stats(a, b), value_fn, grad_fn)
-
-
-def _mf_scale(c: float, a: MomentForm) -> MomentForm:
-    return MomentForm(
-        a.stat_dim, a.stat_fn,
-        lambda v: c * a.value(v),
-        lambda v: c * a.grad(v),
-    )
-
-
-def _mf_product(a: MomentForm, b: MomentForm) -> MomentForm:
-    qa = a.stat_dim
-
-    def value_fn(v):
-        return a.value(v[..., :qa]) * b.value(v[..., qa:])
-
-    def grad_fn(v):
-        va, vb = v[..., :qa], v[..., qa:]
-        fa, fb = a.value(va), b.value(vb)
-        return np.concatenate(
-            [a.grad(va) * fb[..., None], b.grad(vb) * fa[..., None]], axis=-1)
-
-    return MomentForm(qa + b.stat_dim, _mf_concat_stats(a, b), value_fn, grad_fn)
-
-
 # ---------------------------------------------------------------------------
 # AST nodes
 
@@ -236,16 +192,10 @@ class Functional:
     dim: int | None = None
     max_order: int = 2
     name: str = ""
-    growth_k: float | None = None
-    growth_ell: float | None = None
 
-    def __init__(self, dim: int | None = None, name: str = "",
-                 growth_k: float | None = None,
-                 growth_ell: float | None = None):
+    def __init__(self, dim: int | None = None, name: str = ""):
         self.dim = dim
         self.name = name
-        self.growth_k = growth_k
-        self.growth_ell = growth_ell
 
     def value(self, mu: object) -> float:
         raise NotImplementedError
@@ -262,18 +212,6 @@ class Functional:
                 f"{type(self).__name__} supports derivative orders 1..{self.max_order},"
                 f" got {order}")
 
-    # sugar so tests can write u + v, 2.0 * u, u * v
-    def __add__(self, other: "Functional") -> "Functional":
-        return Sum(self, other)
-
-    def __mul__(self, other: object) -> "Functional":
-        if isinstance(other, Functional):
-            return Product(self, other)
-        return Scale(float(other), self)
-
-    def __rmul__(self, other: object) -> "Functional":
-        return Scale(float(other), self)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}({self.name or '...'})"
 
@@ -282,11 +220,9 @@ class Linear(Functional):
     """U(mu) = int phi d(mu) for a vectorized scalar phi on R^d."""
 
     def __init__(self, phi: Callable[[np.ndarray], np.ndarray], dim: int | None = None,
-                 name: str = "", growth_k: float | None = None,
-                 growth_ell: float | None = None):
+                 name: str = ""):
         self.phi = phi
-        super().__init__(dim, name, growth_k, growth_ell)
-        self.max_order = 2  # higher orders vanish identically
+        super().__init__(dim, name)
 
     def value(self, mu: object) -> float:
         return float(mu.expect(self.phi))
@@ -322,14 +258,13 @@ class SmoothOfLinear(Functional):
     def __init__(self, value: Callable, grad: Callable, hess: Callable,
                  stats: Sequence[Callable[[np.ndarray], np.ndarray]],
                  third: Callable | None = None, dim: int | None = None,
-                 name: str = "", growth_k: float | None = None,
-                 growth_ell: float | None = None):
+                 name: str = ""):
         self.f_value = value
         self.f_grad = grad
         self.f_hess = hess
         self.f_third = third
         self.stats = tuple(stats)
-        super().__init__(dim, name, growth_k, growth_ell)
+        super().__init__(dim, name)
         self.max_order = 3 if third is not None else 2
 
     @classmethod
@@ -404,14 +339,13 @@ class UStatistic(Functional):
 
     def __init__(self, phi: Callable, n: int,
                  product_kernel: Callable[[np.ndarray], np.ndarray] | None = None,
-                 dim: int | None = None, name: str = "",
-                 growth_k: float | None = None, growth_ell: float | None = None):
+                 dim: int | None = None, name: str = ""):
         if n < 1:
             raise FunctionalError("UStatistic order n must be >= 1")
         self.phi = phi
         self.n = int(n)
         self.product_kernel = product_kernel
-        super().__init__(dim, name, growth_k, growth_ell)
+        super().__init__(dim, name)
         self.max_order = self.n
         if n > 1:
             _symmetry_spot_check(phi, self.n, dim if dim is not None else 1)
@@ -508,7 +442,7 @@ class Quantile(Functional):
     def __init__(self, v: float, name: str = ""):
         if not 0.0 < v < 1.0:
             raise FunctionalError("quantile level must lie in (0, 1)")
-        super().__init__(1, name or f"quantile:{v:g}", 0.0, 1.0)
+        super().__init__(1, name or f"quantile:{v:g}")
         self.v = float(v)
 
     def value(self, mu: object) -> float:
@@ -552,13 +486,12 @@ class NestedIntegrand(Functional):
 
     def __init__(self, phi: Callable, n: int, phi_lfd: Callable,
                  phi_lfd2: Callable | None = None, dim: int | None = None,
-                 name: str = "", growth_k: float | None = None,
-                 growth_ell: float | None = None):
+                 name: str = ""):
         self.phi = phi
         self.n = int(n)
         self.phi_lfd = phi_lfd
         self.phi_lfd2 = phi_lfd2
-        super().__init__(dim, name, growth_k, growth_ell)
+        super().__init__(dim, name)
         self.max_order = 2 if phi_lfd2 is not None else 1
 
     # scalar python loops: keep continuous-law proxies at a few thousand cells
@@ -627,13 +560,12 @@ class ExternalIntegral(Functional):
 
     def __init__(self, phi: Callable, lam: DiscreteMeasure, phi_lfd: Callable,
                  phi_lfd2: Callable | None = None, dim: int | None = None,
-                 name: str = "", growth_k: float | None = None,
-                 growth_ell: float | None = None):
+                 name: str = ""):
         self.phi = phi
         self.lam = lam
         self.phi_lfd = phi_lfd
         self.phi_lfd2 = phi_lfd2
-        super().__init__(dim, name, growth_k, growth_ell)
+        super().__init__(dim, name)
         self.max_order = 2 if phi_lfd2 is not None else 1
 
     def value(self, mu: object) -> float:
@@ -665,105 +597,6 @@ class ExternalIntegral(Functional):
             return out
 
         return DerivativeField(2, self.dim, values2)
-
-
-class Sum(Functional):
-    def __init__(self, left: Functional, right: Functional, name: str = ""):
-        self.left, self.right = left, right
-        self.dim = left.dim if left.dim is not None else right.dim
-        self.name = name or f"({left.name}+{right.name})"
-        self.max_order = min(left.max_order, right.max_order)
-        ks = [u.growth_k for u in (left, right) if u.growth_k is not None]
-        ells = [u.growth_ell for u in (left, right) if u.growth_ell is not None]
-        self.growth_k = max(ks) if ks else None
-        self.growth_ell = max(ells) if ells else None
-
-    def value(self, mu: object) -> float:
-        return self.left.value(mu) + self.right.value(mu)
-
-    def derivative(self, order: int) -> DerivativeField:
-        self._check_order(order)
-        fl, fr = self.left.derivative(order), self.right.derivative(order)
-
-        def values(mu, *ys):
-            return fl._values(mu, *ys) + fr._values(mu, *ys)
-
-        return DerivativeField(order, self.dim, values)
-
-    def moment_form(self) -> MomentForm | None:
-        a, b = self.left.moment_form(), self.right.moment_form()
-        return None if a is None or b is None else _mf_sum(a, b)
-
-
-class Scale(Functional):
-    def __init__(self, c: float, inner: Functional, name: str = ""):
-        self.c = float(c)
-        self.inner = inner
-        self.dim = inner.dim
-        self.name = name or f"{c:g}*{inner.name}"
-        self.max_order = inner.max_order
-        self.growth_k = inner.growth_k
-        self.growth_ell = inner.growth_ell
-
-    def value(self, mu: object) -> float:
-        return self.c * self.inner.value(mu)
-
-    def derivative(self, order: int) -> DerivativeField:
-        self._check_order(order)
-        f = self.inner.derivative(order)
-        c = self.c
-
-        def values(mu, *ys):
-            return c * f._values(mu, *ys)
-
-        return DerivativeField(order, self.dim, values)
-
-    def moment_form(self) -> MomentForm | None:
-        a = self.inner.moment_form()
-        return None if a is None else _mf_scale(self.c, a)
-
-
-class Product(Functional):
-    """U * V with the product rule; derivative orders capped at 2."""
-
-    def __init__(self, left: Functional, right: Functional, name: str = ""):
-        self.left, self.right = left, right
-        self.dim = left.dim if left.dim is not None else right.dim
-        self.name = name or f"({left.name}*{right.name})"
-        self.max_order = min(2, left.max_order, right.max_order)
-        ks = [u.growth_k for u in (left, right) if u.growth_k is not None]
-        ells = [u.growth_ell for u in (left, right) if u.growth_ell is not None]
-        self.growth_k = sum(ks) if len(ks) == 2 else None
-        self.growth_ell = max(ells) if ells else None
-
-    def value(self, mu: object) -> float:
-        return self.left.value(mu) * self.right.value(mu)
-
-    def derivative(self, order: int) -> DerivativeField:
-        self._check_order(order)
-        ul, ur = self.left, self.right
-        dl1, dr1 = ul.derivative(1), ur.derivative(1)
-
-        if order == 1:
-            def values(mu, y):
-                return ul.value(mu) * dr1._values(mu, y) + ur.value(mu) * dl1._values(mu, y)
-            return DerivativeField(1, self.dim, values)
-
-        dl2, dr2 = ul.derivative(2), ur.derivative(2)
-
-        def values2(mu, y, z):
-            return (
-                ul.value(mu) * dr2._values(mu, y, z)
-                + ur.value(mu) * dl2._values(mu, y, z)
-                + dl1._values(mu, y) * dr1._values(mu, z)
-                + dl1._values(mu, z) * dr1._values(mu, y)
-            )
-
-        return DerivativeField(2, self.dim, values2)
-
-    def moment_form(self) -> MomentForm | None:
-        a, b = self.left.moment_form(), self.right.moment_form()
-        return None if a is None or b is None else _mf_product(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -872,15 +705,6 @@ def growth_class_check(u: Functional, j: int, k: float, ell: float,
     return sup
 
 
-def quantile(mu: object, v: float) -> float:
-    """Left-continuous generalized inverse of the CDF of a d = 1 measure."""
-    if _measure_dim(mu) != 1:
-        raise FunctionalError("quantile requires dim=1")
-    if not 0.0 < v < 1.0:
-        raise FunctionalError("quantile level must lie in (0, 1)")
-    return float(mu.quantile(v))
-
-
 # ---------------------------------------------------------------------------
 # registry
 
@@ -898,11 +722,11 @@ def _sin_first(p: np.ndarray) -> np.ndarray:
 
 
 def _make_linear_mean() -> Functional:
-    return Linear(_first_coord, dim=1, name="linear-mean", growth_k=1.0, growth_ell=1.0)
+    return Linear(_first_coord, dim=1, name="linear-mean")
 
 
 def _make_linear_square() -> Functional:
-    return Linear(_sq_norm, dim=1, name="linear-square", growth_k=2.0, growth_ell=2.0)
+    return Linear(_sq_norm, dim=1, name="linear-square")
 
 
 def _make_mean_square() -> Functional:
@@ -912,7 +736,7 @@ def _make_mean_square() -> Functional:
         d2f=lambda t: 2.0 * np.ones_like(t),
         d3f=lambda t: np.zeros_like(t),
         stat=_first_coord,
-        dim=1, name="mean-square", growth_k=2.0, growth_ell=2.0,
+        dim=1, name="mean-square",
     )
 
 
@@ -923,7 +747,7 @@ def _make_cube_of_second_moment() -> Functional:
         d2f=lambda t: 6.0 * t,
         d3f=lambda t: 6.0 * np.ones_like(t),
         stat=_sq_norm,
-        dim=1, name="cube-of-second-moment", growth_k=6.0, growth_ell=12.0,
+        dim=1, name="cube-of-second-moment",
     )
 
 
@@ -933,7 +757,7 @@ def _make_sin_five_halves() -> Functional:
         df=lambda t: 2.5 * np.sign(t) * np.abs(t) ** 1.5,
         d2f=lambda t: 3.75 * np.abs(t) ** 0.5,
         stat=_sin_first,
-        dim=1, name="sin-five-halves", growth_k=0.0, growth_ell=2.0,
+        dim=1, name="sin-five-halves",
     )
 
 
@@ -944,7 +768,7 @@ def _product_phi(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def _make_ustat_product() -> Functional:
     return UStatistic(
         _product_phi, 2, product_kernel=_first_coord,
-        dim=1, name="ustat-product", growth_k=2.0, growth_ell=2.0,
+        dim=1, name="ustat-product",
     )
 
 

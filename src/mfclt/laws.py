@@ -50,7 +50,6 @@ class SamplerSpec:
     sample_fn: Callable[[np.random.Generator, int], np.ndarray] | None = None
     cdf_fn: Callable[[np.ndarray], np.ndarray] | None = None
     pdf_fn: Callable[[np.ndarray], np.ndarray] | None = None
-    moment_order: float = 2.0
     label: str = ""
 
     @staticmethod
@@ -59,7 +58,7 @@ class SamplerSpec:
             raise LawError("need a finite mean and a finite sd > 0")
         return SamplerSpec(
             "normal", dim=dim, mean=float(mean), sd=float(sd),
-            moment_order=np.inf, label=f"normal:{mean},{sd}",
+            label=f"normal:{mean},{sd}",
         )
 
     @staticmethod
@@ -68,13 +67,13 @@ class SamplerSpec:
             raise LawError("need finite bounds with high > low")
         return SamplerSpec(
             "uniform", dim=dim, low=float(low), high=float(high),
-            moment_order=np.inf, label=f"uniform:{low},{high}",
+            label=f"uniform:{low},{high}",
         )
 
     @staticmethod
     def discrete(measure: DiscreteMeasure) -> "SamplerSpec":
         return SamplerSpec(
-            "atoms", dim=measure.dim, atoms=measure, moment_order=np.inf,
+            "atoms", dim=measure.dim, atoms=measure,
             label=f"atoms[{measure.natoms}]",
         )
 
@@ -82,14 +81,13 @@ class SamplerSpec:
     def callback(
         sample_fn: Callable[[np.random.Generator, int], np.ndarray],
         dim: int = 1,
-        moment_order: float = 2.0,
         cdf_fn: Callable | None = None,
         pdf_fn: Callable | None = None,
         label: str = "callback",
     ) -> "SamplerSpec":
         return SamplerSpec(
             "callback", dim=dim, sample_fn=sample_fn, cdf_fn=cdf_fn,
-            pdf_fn=pdf_fn, moment_order=moment_order, label=label,
+            pdf_fn=pdf_fn, label=label,
         )
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:

@@ -313,9 +313,6 @@ class FluctuationReport:
     ref_bias_scaled: np.ndarray  # (K,) sqrt(N)-scaled reference spread
     model: str
     phi: str
-    sigma_theory: np.ndarray | None = None
-    sigma_theory_stderr: np.ndarray | None = None
-    cramer_wold: tuple | None = None
 
 
 def _phi_on_cloud(phi: Functional, cloud: np.ndarray) -> float:
@@ -335,6 +332,8 @@ def fluctuation_process(phi: Functional, model: MkvModel, n: int,
     tag separated from the particle streams) shared by every replication; its
     sqrt(N)-scaled split-half spread is reported as ref_bias_scaled.
     """
+    if n < 1 or r < 3 or (ref_size is not None and ref_size < 3):
+        raise MeanFieldError("need n >= 1, r >= 3 and ref_size >= 3")
     times = tuple(float(t) for t in times)
     if any(b <= a for a, b in zip(times, times[1:])) or not times:
         raise MeanFieldError("times must be strictly increasing and nonempty")

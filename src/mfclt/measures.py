@@ -66,12 +66,12 @@ class DiscreteMeasure:
 
     def __init__(self, points: object, weights: object | None = None):
         pts = _as_points(points)
+        if pts.shape[0] == 0:
+            raise MeasureError("a measure needs at least one atom")
         if weights is None:
             w = np.full(pts.shape[0], 1.0 / pts.shape[0])
         else:
             w = np.asarray(weights, dtype=float).reshape(-1)
-        if pts.shape[0] == 0:
-            raise MeasureError("a measure needs at least one atom")
         if pts.shape[0] != w.shape[0]:
             raise MeasureError("points and weights length mismatch")
         if not np.all(np.isfinite(pts)):

@@ -2,10 +2,9 @@
 
 Provides a one-sample Kolmogorov-Smirnov test against a normal law (with
 the asymptotic Kolmogorov tail series), empirical covariance matrices with
-jackknife standard errors, least-squares slopes on log-log scales, and
-QQ-plot data.  These are the measurement instruments of the package, so
-they are written out explicitly and validated against independent oracles
-in the test suite.
+jackknife standard errors, and least-squares slopes on log-log scales.
+These are the measurement instruments of the package, so they are written
+out explicitly and validated against independent oracles in the test suite.
 """
 from __future__ import annotations
 
@@ -135,12 +134,3 @@ def loglog_slope(xs: object, ys: object) -> SlopeFit:
     ss_tot = float(centered @ centered)
     r2 = 1.0 if ss_tot < 1e-30 else 1.0 - ss_res / ss_tot
     return SlopeFit(float(slope), float(intercept), float(r2))
-
-
-def qq_points(samples: object, mean: float = 0.0, variance: float = 1.0) -> np.ndarray:
-    """(n, 2) array of (theoretical, empirical) quantile pairs."""
-    s = np.sort(np.asarray(samples, dtype=float).reshape(-1))
-    n = s.shape[0]
-    levels = (np.arange(n) + 0.5) / n
-    theo = normal_quantile(levels, mean, np.sqrt(variance))
-    return np.column_stack([theo, s])

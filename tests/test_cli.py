@@ -149,6 +149,23 @@ def test_config_error_exit_code(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "not on the dt=0.01 grid" in err
     assert "time -0.1 is negative" in err
+    for probes in ("0", "-2"):  # zero probes would pass with nothing checked
+        assert run_cli(tmp_path, "derivcheck", "--probes", probes,
+                       "--seed", "1") == EXIT_CONFIG
+    mf = ("meanfield", "run", "--model", "ou", "--times", "0.1", "--n", "20",
+          "--seed", "1")
+    assert run_cli(tmp_path, *mf, "--reps", "2") == EXIT_CONFIG
+    for ref_size in ("1", "2", "-5"):
+        assert run_cli(tmp_path, *mf, "--reps", "5",
+                       "--ref-size", ref_size) == EXIT_CONFIG
+    assert run_cli(tmp_path, "clt", "run", "--functional", "linear-mean",
+                   "--n", "50", "--reps", "2", "--seed", "1") == EXIT_CONFIG
+    assert run_cli(tmp_path, "clt", "scaling", "--functional", "mean-square",
+                   "--n-grid", "100", "--reps", "5", "--seed", "1") == EXIT_CONFIG
+    err = capsys.readouterr().err
+    for msg in ("probes must be positive", "reps must be at least 3",
+                "ref_size must be at least 3", "n_grid needs at least two points"):
+        assert msg in err
     assert not list(tmp_path.iterdir())  # rejected before any artifact
 
 

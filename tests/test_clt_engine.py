@@ -81,7 +81,7 @@ def test_clt_linear_mean_gaussian():
 def test_clt_asymmetric_law_still_gaussian():
     spec = SamplerSpec.callback(
         lambda rng, n: rng.exponential(size=(n, 1)) - 1.0, dim=1,
-        moment_order=20.0, label="centered-exponential")
+        label="centered-exponential")
     rep = run_clt_experiment(make_functional("linear-mean"), spec,
                              n=4000, r=400, seed=11)
     assert rep.sigma2_theory == pytest.approx(1.0, rel=0.02)
@@ -93,7 +93,7 @@ def test_clt_negative_control_rejects_heavy_tails():
     # so the KS gate must fail loudly rather than rubber-stamp the run
     spec = SamplerSpec.callback(
         lambda rng, n: rng.pareto(1.5, size=(n, 1)) + 1.0, dim=1,
-        moment_order=1.2, label="pareto-1.5")
+        label="pareto-1.5")
     rep = run_clt_experiment(make_functional("linear-mean"), spec,
                              n=200, r=500, seed=13)
     assert rep.ks_pvalue < 1e-6

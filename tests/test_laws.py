@@ -61,7 +61,7 @@ def test_discrete_spec_round_trip():
 def test_callback_spec():
     spec = SamplerSpec.callback(
         lambda rng, n: rng.exponential(size=(n, 1)), dim=1,
-        moment_order=10.0, label="exp")
+        label="exp")
     law = as_law(spec)
     x = law.sample(stream(3, "laws"), 100_000)[:, 0]
     assert x.mean() == pytest.approx(1.0, abs=0.02)

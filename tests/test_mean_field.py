@@ -180,6 +180,13 @@ def test_fluctuation_report_shapes_and_determinism():
     assert rep1.sigma_empirical.shape == (2, 2)
 
 
+@pytest.mark.parametrize("kw", [dict(r=2), dict(n=0), dict(ref_size=2)])
+def test_fluctuation_rejects_too_small_runs(kw):
+    args = {"n": 20, "times": (0.1,), "r": 5, "seed": 1, **kw}
+    with pytest.raises(MeanFieldError, match="r >= 3"):
+        fluctuation_process(LINEAR_MEAN, make_model("ou"), **args)
+
+
 def test_fluctuation_variance_near_ou_closed_form():
     rep = fluctuation_process(LINEAR_MEAN, make_model("ou"), n=400,
                               times=(1.0,), r=300, seed=13)

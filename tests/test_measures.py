@@ -48,6 +48,8 @@ def test_bad_weights_rejected():
         DiscreteMeasure(pts, np.array([1.0]))
     with pytest.raises(MeasureError):
         DiscreteMeasure(pts, np.array([2.0, 6.0]))  # mass must already be 1
+    with pytest.raises(MeasureError, match="at least one atom"):
+        DiscreteMeasure(np.empty((0, 1)))  # equal weights 1/0 must not run first
 
 
 def test_expect_mean_and_moment():

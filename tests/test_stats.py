@@ -11,7 +11,6 @@ from mfclt.stats import (
     loglog_slope,
     normal_cdf,
     normal_quantile,
-    qq_points,
 )
 
 
@@ -88,10 +87,3 @@ def test_loglog_slope_exact_power_law():
 def test_loglog_slope_rejects_nonpositive():
     with pytest.raises(ValueError):
         loglog_slope([1.0, 2.0], [1.0, 0.0])
-
-
-def test_qq_points_shape_and_monotone():
-    pts = qq_points(stream(6, "qq").normal(size=64))
-    assert pts.shape == (64, 2)
-    assert np.all(np.diff(pts[:, 0]) > 0)
-    assert np.all(np.diff(pts[:, 1]) >= 0)
