@@ -44,6 +44,7 @@ from .functionals import (
 )
 from .laws import LawError, SamplerSpec, as_law
 from .mean_field import (
+    MAX_TIMES,
     CovarianceConfig,
     MeanFieldError,
     _steps_for,
@@ -119,6 +120,8 @@ class ExperimentConfig:
             problems.append("n_grid must be strictly increasing")
         if any(b <= a for a, b in zip(self.times, self.times[1:])):
             problems.append("times must be strictly increasing")
+        if self.kind == "meanfield" and not 1 <= len(self.times) <= MAX_TIMES:
+            problems.append(f"between 1 and {MAX_TIMES} time points (cost cap)")
         if self.kind == "meanfield" and self.dt > 0:
             for t in self.times:
                 try:

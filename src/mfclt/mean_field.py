@@ -43,6 +43,7 @@ DEFAULT_DT = 1e-2
 DEFAULT_EPS = 0.05
 DEFAULT_H = 0.05
 _REF_FACTOR = 10  # reference cloud size = factor * largest particle count
+MAX_TIMES = 8  # time points of one covariance run (cost cap)
 
 
 class MeanFieldError(ValueError):
@@ -177,6 +178,8 @@ def _integrate(model: MkvModel, points: np.ndarray,
                snapshot_steps: Sequence[int]) -> np.ndarray:
     """Run the batched integrator to the last of the ascending snapshot_steps;
     returns the states at those steps as one (K, B, n, d) array."""
+    if any(b < a for a, b in zip(snapshot_steps, snapshot_steps[1:])):
+        raise MeanFieldError("snapshot steps must be ascending")
     x = np.array(points, dtype=float)
     snaps = np.empty((len(snapshot_steps),) + x.shape)
     root_dt = np.sqrt(dt)
@@ -438,21 +441,23 @@ def _base_cloud(ev: MasterEvaluator, mu: object, seed: int
 
 def _phi_batch(phi: Functional, points: np.ndarray, weights: np.ndarray
                ) -> np.ndarray:
-    """Phi of each weighted cloud in a (B, n, d) batch."""
-    b, n, d = points.shape
+    """(K, B) values of Phi on a (K, B, n, d) batch of clouds that share the
+    (B, n) weights across the K snapshots."""
+    k, b, n, d = points.shape
+    points, weights = points.reshape(k * b, n, d), np.tile(weights, (k, 1))
     mf = phi.moment_form()
     if mf is not None:
-        g = mf.stats(points.reshape(-1, d)).reshape(b, n, -1)
+        g = mf.stats(points.reshape(-1, d)).reshape(k * b, n, -1)
         v = np.einsum("bnq,bn->bq", g, weights)
-        return np.asarray(mf.value(v), dtype=float).reshape(b)
-    out = np.empty(b)
-    for i in range(b):
+        return np.asarray(mf.value(v), dtype=float).reshape(k, b)
+    out = np.empty(k * b)
+    for i in range(k * b):
         keep = weights[i] > 0
         out[i] = evaluate(phi, DiscreteMeasure(points[i, keep], weights[i, keep]))
-    return out
+    return out.reshape(k, b)
 
 
-def _run_configs(ev: MasterEvaluator, steps: int, base_pts: np.ndarray,
+def _run_configs(ev: MasterEvaluator, steps: Sequence[int], base_pts: np.ndarray,
                  base_w: np.ndarray,
                  configs: Sequence[tuple[np.ndarray, float, np.ndarray, float]],
                  base_scale: np.ndarray, seed: int
@@ -463,8 +468,10 @@ def _run_configs(ev: MasterEvaluator, steps: int, base_pts: np.ndarray,
     ``base_scale`` (B,) multiplies the shared base weights so each row still
     sums to one.  Each slot is realized as an antithetic pair of rows with
     half the slot weight each, so slot noise has exactly zero mean under
-    linear dynamics.  Row layout: [m base | z z | y y].
-    Returns (final states (B, m+4, d), weights (B, m+4)).
+    linear dynamics.  Row layout: [m base | z z | y y].  One run to the last
+    of the ascending step counts ``steps`` snapshots every one of them, so a
+    shorter horizon is the prefix of the same noise stream.
+    Returns (states (K, B, m+4, d) at the K steps, weights (B, m+4)).
     """
     m, d = base_pts.shape
     b = len(configs)
@@ -479,14 +486,14 @@ def _run_configs(ev: MasterEvaluator, steps: int, base_pts: np.ndarray,
         weights[i, m + 2] = weights[i, m + 3] = yw / 2.0
     noise = _antithetic_noise(stream(seed, "master-noise"), m, 4,
                               ev.model.noise_dim)
-    final = _integrate(ev.model, points, weights, ev.dt, noise, (steps,))[0]
-    return final, weights
+    return _integrate(ev.model, points, weights, ev.dt, noise, steps), weights
 
 
-def _slot_values(ev: MasterEvaluator, steps: int, pts: np.ndarray,
+def _slot_values(ev: MasterEvaluator, steps: Sequence[int], pts: np.ndarray,
                  base_w: np.ndarray, ys: np.ndarray, eps: float, seed: int
                  ) -> np.ndarray:
-    """V(t, (1 - eps) nu + eps delta_y) for each row y of ys, one CRN batch.
+    """(K, P) values V(t_k, (1 - eps) nu + eps delta_y) for each of the K
+    ascending step counts and each row y of ys, from one CRN run.
 
     ``(pts, base_w)`` is the base cloud of nu (see _base_cloud); the z slot
     stays empty, and eps = 0 gives V(t, nu) on every row.
@@ -498,17 +505,18 @@ def _slot_values(ev: MasterEvaluator, steps: int, pts: np.ndarray,
                                             scale, seed))
 
 
-def _lderiv(ev: MasterEvaluator, steps: int, pts: np.ndarray,
+def _lderiv(ev: MasterEvaluator, steps: Sequence[int], pts: np.ndarray,
             base_w: np.ndarray, ys: np.ndarray, seed: int) -> np.ndarray:
-    """L-derivative at each row y of ys, (P, d): the central +/-h difference
-    of the eps-slot values.  The y = 0 baseline cancels, so only shifted
-    slots run."""
+    """(K, P, d) L-derivative at each of the K ascending step counts and each
+    row y of ys from one CRN run: the central +/-h difference of the eps-slot
+    values.  The y = 0 baseline cancels, so only shifted slots run."""
     p, d = ys.shape
     e = DEFAULT_H * np.eye(d)[:, None, :]  # (d, 1, d)
     shifted = np.stack([ys[None] + e, ys[None] - e], axis=2)  # (d, P, 2, d)
     vals = _slot_values(ev, steps, pts, base_w, shifted.reshape(-1, d),
-                        ev.eps, seed).reshape(d, p, 2)
-    return ((vals[..., 0] - vals[..., 1]) / (2.0 * DEFAULT_H * ev.eps)).T
+                        ev.eps, seed).reshape(-1, d, p, 2)
+    return ((vals[..., 0] - vals[..., 1]) / (2.0 * DEFAULT_H * ev.eps)
+            ).transpose(0, 2, 1)
 
 
 def master_value(ev: MasterEvaluator, t: float, mu: object, seed: int) -> float:
@@ -516,27 +524,27 @@ def master_value(ev: MasterEvaluator, t: float, mu: object, seed: int) -> float:
     law = as_law(mu)
     if t == 0:
         return evaluate(ev.phi, law)
-    steps = _steps_for(t, ev.dt)
     pts, base_w = _base_cloud(ev, law, seed)
-    vals = _slot_values(ev, steps, pts, base_w, np.zeros((1, ev.model.dim)),
-                        0.0, seed)
-    return float(vals[0])
+    vals = _slot_values(ev, (_steps_for(t, ev.dt),), pts, base_w,
+                        np.zeros((1, ev.model.dim)), 0.0, seed)
+    return float(vals[0, 0])
 
 
-def master_lfd_batch(ev: MasterEvaluator, t: float, nu: object,
+def master_lfd_batch(ev: MasterEvaluator, times: Sequence[float], nu: object,
                      ys: np.ndarray, seed: int,
                      richardson: bool = False) -> np.ndarray:
-    """dV/dm(t, nu, y) for each row y: [V((1-eps)nu + eps delta_y) -
-    V((1-eps)nu + eps delta_0)] / eps, CRN-coupled (normalization built in)."""
+    """dV/dm(t, nu, y) at each ascending time t and each row y, (K, P):
+    [V((1-eps)nu + eps delta_y) - V((1-eps)nu + eps delta_0)] / eps,
+    CRN-coupled (normalization built in), every time from one run."""
     ys = np.atleast_2d(np.asarray(ys, dtype=float))
     law = as_law(nu)
-    steps = _steps_for(t, ev.dt)
+    steps = [_steps_for(t, ev.dt) for t in times]
     pts, base_w = _base_cloud(ev, law, seed)
     rows = np.vstack([np.zeros((1, ys.shape[1])), ys])  # baseline y = 0 first
 
     def at_eps(eps: float) -> np.ndarray:
         vals = _slot_values(ev, steps, pts, base_w, rows, eps, seed)
-        return (vals[1:] - vals[0]) / eps
+        return (vals[:, 1:] - vals[:, :1]) / eps
 
     out = at_eps(ev.eps)
     if richardson:
@@ -547,25 +555,16 @@ def master_lfd_batch(ev: MasterEvaluator, t: float, nu: object,
 def master_lfd(ev: MasterEvaluator, t: float, nu: object, y: object,
                seed: int, richardson: bool = False) -> float:
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    return float(master_lfd_batch(ev, t, nu, y[None], seed,
-                                  richardson=richardson)[0])
-
-
-def master_lderiv_batch(ev: MasterEvaluator, t: float, nu: object,
-                        ys: np.ndarray, seed: int) -> np.ndarray:
-    """L-derivative d_mu V(t, nu)(y) = grad_y dV/dm, central differences.
-
-    Returns (P, d).
-    """
-    ys = np.atleast_2d(np.asarray(ys, dtype=float))
-    pts, base_w = _base_cloud(ev, as_law(nu), seed)
-    return _lderiv(ev, _steps_for(t, ev.dt), pts, base_w, ys, seed)
+    return float(master_lfd_batch(ev, (t,), nu, y[None], seed,
+                                  richardson=richardson)[0, 0])
 
 
 def master_lderiv(ev: MasterEvaluator, t: float, nu: object, y: object,
                   seed: int) -> np.ndarray:
+    """L-derivative d_mu V(t, nu)(y) = grad_y dV/dm, central differences, (d,)."""
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    return master_lderiv_batch(ev, t, nu, y[None], seed)[0]
+    pts, base_w = _base_cloud(ev, as_law(nu), seed)
+    return _lderiv(ev, (_steps_for(t, ev.dt),), pts, base_w, y[None], seed)[0, 0]
 
 
 def master_lfd2(ev: MasterEvaluator, t: float, nu: object, y: object,
@@ -586,8 +585,8 @@ def master_lfd2(ev: MasterEvaluator, t: float, nu: object, y: object,
         (zero, 0.0, zero, eps),
     ]
     scale = np.asarray([(1 - eps) ** 2, (1 - eps) ** 2, 1 - eps, 1 - eps])
-    v = _phi_batch(ev.phi, *_run_configs(ev, steps, pts, base_w, configs,
-                                         scale, seed))
+    v = _phi_batch(ev.phi, *_run_configs(ev, (steps,), pts, base_w, configs,
+                                         scale, seed))[0]
     return float(((v[0] - v[1]) - (v[2] - v[3])) / eps ** 2)
 
 
@@ -612,16 +611,16 @@ def theta_second_derivative(ev: MasterEvaluator, t: float, nu: object,
     configs = [(z + a * e, eps * (1 - eps), y + b * e, eps)
                for a in (+1, -1) for b in (+1, -1)]
     scale = np.full(4, (1 - eps) ** 2)
-    final, weights = _run_configs(ev, steps, pts, base_w, configs, scale, seed)
+    final, weights = _run_configs(ev, (steps,), pts, base_w, configs, scale, seed)
     denom = 4.0 * h ** 2 * eps ** 2
     if isinstance(ev.phi, Linear):
         # difference the per-atom statistics first: rows identical across
         # configs cancel exactly, so the estimate is 0.0 bit-for-bit when the
         # value truly does not depend on the slot positions
-        g = np.asarray(ev.phi.phi(final), dtype=float)  # (4, m+2)
+        g = np.asarray(ev.phi.phi(final[0]), dtype=float)  # (4, m+4)
         diff = (g[0] - g[1]) + (g[3] - g[2])
         return float(np.dot(weights[0], diff)) / denom
-    v = _phi_batch(ev.phi, final, weights)
+    v = _phi_batch(ev.phi, final, weights)[0]
     return float((v[0] - v[1]) - (v[2] - v[3])) / denom
 
 
@@ -697,8 +696,10 @@ def theoretical_covariance(phi: Functional, model: MkvModel,
     """
     times = tuple(float(t) for t in times)
     k = len(times)
-    if k < 1 or k > 8:
-        raise MeanFieldError("between 1 and 8 time points (cost cap)")
+    if not 1 <= k <= MAX_TIMES:
+        raise MeanFieldError(f"between 1 and {MAX_TIMES} time points (cost cap)")
+    if any(b <= a for a, b in zip(times, times[1:])):
+        raise MeanFieldError("times must be strictly increasing")
     if not (model.flags & {"is_dirac_initial", "claims_bounded_coeffs"}):
         if not config.force:
             raise MeanFieldError(
@@ -713,9 +714,8 @@ def theoretical_covariance(phi: Functional, model: MkvModel,
 
     def term1_at(p: int, sub_seed: int) -> np.ndarray:
         xis, xi_w = _xi_probes(model.initial, p, sub_seed)
-        rows = np.stack([
-            master_lfd_batch(ev, t, nu, xis, sub_seed) for t in times])
-        return _cov_of_values(rows, xi_w)
+        return _cov_of_values(master_lfd_batch(ev, times, nu, xis, sub_seed),
+                              xi_w)
 
     def term2_at(p: int, sub_seed: int) -> np.ndarray:
         horizon = times[-1]
@@ -726,25 +726,21 @@ def theoretical_covariance(phi: Functional, model: MkvModel,
         # spread antithetic pairs across the cloud as path probes
         pair_idx = (np.arange(p // 2) * (m_ref // 2) // max(p // 2, 1)) * 2
         idx = np.sort(np.concatenate([pair_idx, pair_idx + 1]))
-        d = model.dim
         out = np.zeros((k, k))
         for s in _s_grid(times, config):
             cloud = ref_clouds[s]
             mu_s = DiscreteMeasure(cloud)
             base_pts, base_w = _base_cloud(ev, mu_s, sub_seed)
             xs = cloud[idx]
-            live = [i for i, t in enumerate(times) if t > s + 1e-12]
-            g = np.zeros((k, len(idx), d))
-            for i in live:
-                steps = _steps_for(times[i] - s, config.dt)
-                g[i] = _lderiv(ev, steps, base_pts, base_w, xs, sub_seed)
+            # the live times t > s are a suffix of the ascending times
+            live = [_steps_for(t - s, config.dt) for t in times if t > s + 1e-12]
+            g = _lderiv(ev, live, base_pts, base_w, xs, sub_seed)  # (L, P, d)
             batch = BatchEmpirical(cloud[None])
             sx = np.asarray(model.diffusion(xs[None], batch), dtype=float)[0]
             a = np.einsum("pij,pkj->pik", sx, sx)  # sigma sigma^T at probes
-            for i in live:
-                for j in live:
-                    vals = np.einsum("pi,pik,pk->p", g[i], a, g[j])
-                    out[i, j] += config.s_stride * config.dt * float(vals.mean())
+            vals = np.einsum("ipk,pkl,jpl->ijp", g, a, g)
+            lo = k - len(live)
+            out[lo:, lo:] += config.s_stride * config.dt * vals.mean(axis=-1)
         return out
 
     def with_stderr(term_at: Callable[[int, int], np.ndarray], p: int
@@ -818,7 +814,7 @@ def master_equation_residual(ev: MasterEvaluator, t: float, mu: object,
         pts, base_w = _base_cloud(ev, law, s)
         eps = ev.eps
         stencil = support.points + np.asarray([h, 0.0, -h])  # (atoms, 3)
-        vals = _slot_values(ev, steps, pts, base_w, stencil.reshape(-1, 1),
+        vals = _slot_values(ev, (steps,), pts, base_w, stencil.reshape(-1, 1),
                             eps, s).reshape(support.natoms, 3)
         lderiv = (vals[:, 0] - vals[:, 2]) / (2.0 * h * eps)
         second = (vals[:, 0] - 2.0 * vals[:, 1] + vals[:, 2]) / (eps * h * h)

@@ -102,10 +102,9 @@ def empirical_cov(samples: np.ndarray) -> CovarianceEstimate:
     s1 = x.sum(axis=0)
     s2 = np.einsum("ri,rj->ij", x, x)
     nn = r - 1
-    loo = np.empty((r, k, k))
-    for i in range(r):
-        m_i = (s1 - x[i]) / nn
-        loo[i] = (s2 - np.outer(x[i], x[i]) - nn * np.outer(m_i, m_i)) / (nn - 1)
+    m = (s1 - x) / nn  # leave-one-out means, (R, K)
+    loo = (s2 - x[:, :, None] * x[:, None, :]
+           - nn * (m[:, :, None] * m[:, None, :])) / (nn - 1)
     loo_mean = loo.mean(axis=0)
     stderr = np.sqrt((nn / r) * np.sum((loo - loo_mean) ** 2, axis=0))
     return CovarianceEstimate(cov, stderr, r)

@@ -35,7 +35,13 @@ from mfclt.mean_field import (
     theta_second_derivative,
     time_regularity_probe,
 )
-from mfclt.mean_field import _stratified_initial
+from mfclt.mean_field import (
+    _base_cloud,
+    _integrate,
+    _lderiv,
+    _stratified_initial,
+    master_lfd_batch,
+)
 from mfclt.rng import stream
 
 LINEAR_MEAN = make_functional("linear-mean")
@@ -242,12 +248,42 @@ def test_master_lfd_richardson_removes_eps_bias():
                          m=2000, dt=0.01, eps=0.05)
     nu = DiscreteMeasure(np.array([[c]]))
     exact = euler_factor(t) ** 2 * 2 * c * y  # eps -> 0 normalized derivative
-    from mfclt.mean_field import master_lfd_batch
-    plain = master_lfd_batch(ev, t, nu, np.array([[y]]), seed=23)[0]
-    rich = master_lfd_batch(ev, t, nu, np.array([[y]]), seed=23,
-                            richardson=True)[0]
+    plain = master_lfd_batch(ev, (t,), nu, np.array([[y]]), seed=23)[0, 0]
+    rich = master_lfd_batch(ev, (t,), nu, np.array([[y]]), seed=23,
+                            richardson=True)[0, 0]
     assert abs(rich - exact) < abs(plain - exact) / 10
     assert rich == pytest.approx(exact, abs=1e-8)
+
+
+@pytest.mark.parametrize("model_name", ["ou", "mean-revert", "bounded-sine"])
+def test_time_grid_equals_stacked_single_times(model_name):
+    # one run snapshotted at every time equals one run per time, bit for bit:
+    # a shorter Euler run under the same noise stream is a prefix of a longer
+    ev = MasterEvaluator(make_functional("mean-square"), make_model(model_name),
+                         m=200, dt=0.01)
+    nu = as_law(ev.model.initial)
+    ys = np.array([[-0.7], [0.4], [1.1]])
+    for richardson in (False, True):
+        both = master_lfd_batch(ev, (0.05, 0.1), nu, ys, seed=5,
+                                richardson=richardson)
+        one = [master_lfd_batch(ev, (t,), nu, ys, seed=5,
+                                richardson=richardson)[0] for t in (0.05, 0.1)]
+        assert both.tolist() == np.stack(one).tolist()
+    pts, base_w = _base_cloud(ev, nu, seed=5)
+    both = _lderiv(ev, (5, 10), pts, base_w, ys, seed=5)
+    one = [_lderiv(ev, (k,), pts, base_w, ys, seed=5)[0] for k in (5, 10)]
+    assert both.shape == (2, 3, 1)
+    assert both.tolist() == np.stack(one).tolist()
+
+
+def test_descending_time_grids_are_rejected():
+    ou = make_model("ou")
+    noise = lambda k: np.zeros((4, 1))
+    with pytest.raises(MeanFieldError, match="ascending"):
+        _integrate(ou, np.zeros((1, 4, 1)), None, 0.01, noise, (3, 1))
+    with pytest.raises(MeanFieldError, match="strictly increasing"):
+        theoretical_covariance(LINEAR_MEAN, ou, (0.2, 0.1),
+                               CovarianceConfig(force=True), seed=1)
 
 
 def test_master_lfd2_mean_square():
