@@ -47,6 +47,7 @@ from .mean_field import (
     MAX_TIMES,
     CovarianceConfig,
     MeanFieldError,
+    _adjoint_moment_form,
     _steps_for,
     cramer_wold_normality,
     fluctuation_process,
@@ -143,8 +144,8 @@ class ExperimentConfig:
                 f"unknown model {self.model!r}; registry: {', '.join(model_names())}")
         if self.kind == "meanfield" and self.phi:
             try:
-                make_functional(self.phi)
-            except FunctionalError as exc:
+                _adjoint_moment_form(make_functional(self.phi))
+            except (FunctionalError, MeanFieldError) as exc:
                 problems.append(str(exc))
         if problems:
             raise ConfigError("; ".join(problems))

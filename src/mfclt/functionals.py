@@ -17,7 +17,8 @@ difference rather than a post-hoc subtraction.
 
 ``MomentForm`` is a flattened (F, grad F, stats G) view used by the Monte Carlo
 engines for O(N) vectorized evaluation; every registry functional provides one
-except the quantile.
+except the quantile, together with the exact spatial gradient of each of its
+statistics.
 """
 from __future__ import annotations
 
@@ -160,14 +161,17 @@ class MomentForm:
     """U(mu) = value_fn(int stats d(mu)) with a vectorized gradient.
 
     ``stat_fn`` maps (K, d) points to (K, q) statistics; ``value_fn`` and
-    ``grad_fn`` map (..., q) moment vectors to (...) and (..., q).  The Monte
-    Carlo engines lean on this view for O(N) decompositions.
+    ``grad_fn`` map (..., q) moment vectors to (...) and (..., q).
+    ``stat_grad_fn``, when known, maps (K, d) points to the (K, q, d) spatial
+    gradients of the statistics.  The Monte Carlo engines lean on this view
+    for O(N) decompositions, and the mean-field adjoint on the gradients.
     """
 
     stat_dim: int
     stat_fn: Callable[[np.ndarray], np.ndarray]
     value_fn: Callable[[np.ndarray], np.ndarray]
     grad_fn: Callable[[np.ndarray], np.ndarray]
+    stat_grad_fn: Callable[[np.ndarray], np.ndarray] | None = None
 
     def stats(self, points: np.ndarray) -> np.ndarray:
         out = np.asarray(self.stat_fn(points), dtype=float)
@@ -180,6 +184,10 @@ class MomentForm:
 
     def grad(self, v: np.ndarray) -> np.ndarray:
         return np.asarray(self.grad_fn(np.asarray(v, dtype=float)), dtype=float)
+
+    def stat_grads(self, points: np.ndarray) -> np.ndarray:
+        return np.asarray(self.stat_grad_fn(points), dtype=float).reshape(
+            points.shape[0], self.stat_dim, points.shape[1])
 
 
 # ---------------------------------------------------------------------------
@@ -217,11 +225,13 @@ class Functional:
 
 
 class Linear(Functional):
-    """U(mu) = int phi d(mu) for a vectorized scalar phi on R^d."""
+    """U(mu) = int phi d(mu) for a vectorized scalar phi on R^d; ``grad``
+    optionally maps (K, d) points to the (K, d) gradient of phi."""
 
     def __init__(self, phi: Callable[[np.ndarray], np.ndarray], dim: int | None = None,
-                 name: str = ""):
+                 name: str = "", grad: Callable[[np.ndarray], np.ndarray] | None = None):
         self.phi = phi
+        self.phi_grad = grad
         super().__init__(dim, name)
 
     def value(self, mu: object) -> float:
@@ -244,6 +254,7 @@ class Linear(Functional):
             1, self.phi,
             lambda v: v[..., 0],
             lambda v: np.ones_like(v),
+            self.phi_grad,
         )
 
 
@@ -252,25 +263,30 @@ class SmoothOfLinear(Functional):
 
     ``stats`` is a list of q vectorized scalar functions; ``value/grad/hess``
     (and optionally ``third``) are callbacks on (..., q) arrays returning
-    (...), (..., q), (..., q, q) and (..., q, q, q).
+    (...), (..., q), (..., q, q) and (..., q, q, q).  ``stat_grads``
+    optionally lists the (K, d) spatial gradients of the q statistics.
     """
 
     def __init__(self, value: Callable, grad: Callable, hess: Callable,
                  stats: Sequence[Callable[[np.ndarray], np.ndarray]],
                  third: Callable | None = None, dim: int | None = None,
-                 name: str = ""):
+                 name: str = "",
+                 stat_grads: Sequence[Callable[[np.ndarray], np.ndarray]] | None = None):
         self.f_value = value
         self.f_grad = grad
         self.f_hess = hess
         self.f_third = third
         self.stats = tuple(stats)
+        self.stat_grads = None if stat_grads is None else tuple(stat_grads)
         super().__init__(dim, name)
         self.max_order = 3 if third is not None else 2
 
     @classmethod
     def scalar(cls, f: Callable, df: Callable, d2f: Callable,
                stat: Callable[[np.ndarray], np.ndarray],
-               d3f: Callable | None = None, **kwargs) -> "SmoothOfLinear":
+               d3f: Callable | None = None,
+               stat_grad: Callable[[np.ndarray], np.ndarray] | None = None,
+               **kwargs) -> "SmoothOfLinear":
         """q = 1 convenience: elementwise callbacks f, df, d2f on scalars."""
         value = lambda v: np.asarray(f(v[..., 0]), dtype=float)
         grad = lambda v: np.asarray(df(v[..., 0]), dtype=float)[..., None]
@@ -278,7 +294,9 @@ class SmoothOfLinear(Functional):
         third = None
         if d3f is not None:
             third = lambda v: np.asarray(d3f(v[..., 0]), dtype=float)[..., None, None, None]
-        return cls(value, grad, hess, [stat], third=third, **kwargs)
+        stat_grads = None if stat_grad is None else [stat_grad]
+        return cls(value, grad, hess, [stat], third=third, stat_grads=stat_grads,
+                   **kwargs)
 
     def _stat_matrix(self, points: np.ndarray) -> np.ndarray:
         return np.stack(
@@ -308,10 +326,15 @@ class SmoothOfLinear(Functional):
         return DerivativeField(order, self.dim, values)
 
     def moment_form(self) -> MomentForm:
+        stat_grad = None
+        if self.stat_grads is not None:
+            stat_grad = lambda p: np.stack(
+                [np.asarray(g(p), dtype=float) for g in self.stat_grads], axis=-2)
         return MomentForm(
             len(self.stats), self._stat_matrix,
             lambda v: self.f_value(v),
             lambda v: self.f_grad(v),
+            stat_grad,
         )
 
 
@@ -335,16 +358,19 @@ class UStatistic(Functional):
     arguments (spot-checked at construction).  ``product_kernel`` g declares
     phi = prod_i g(x_i), unlocking closed-form O(K) derivative evaluation and
     factored values; the generic route integrates over full support grids.
+    ``kernel_grad`` optionally maps (K, d) points to the (K, d) gradient of g.
     """
 
     def __init__(self, phi: Callable, n: int,
                  product_kernel: Callable[[np.ndarray], np.ndarray] | None = None,
-                 dim: int | None = None, name: str = ""):
+                 dim: int | None = None, name: str = "",
+                 kernel_grad: Callable[[np.ndarray], np.ndarray] | None = None):
         if n < 1:
             raise FunctionalError("UStatistic order n must be >= 1")
         self.phi = phi
         self.n = int(n)
         self.product_kernel = product_kernel
+        self.kernel_grad = kernel_grad
         super().__init__(dim, name)
         self.max_order = self.n
         if n > 1:
@@ -431,6 +457,7 @@ class UStatistic(Functional):
             1, self.product_kernel,
             lambda v: v[..., 0] ** n,
             lambda v: n * v ** (n - 1),
+            self.kernel_grad,
         )
 
 
@@ -713,20 +740,36 @@ def _first_coord(p: np.ndarray) -> np.ndarray:
     return p[..., 0]
 
 
+def _first_coord_grad(p: np.ndarray) -> np.ndarray:
+    out = np.zeros_like(p)
+    out[..., 0] = 1.0
+    return out
+
+
 def _sq_norm(p: np.ndarray) -> np.ndarray:
     return np.sum(p * p, axis=-1)
+
+
+def _sq_norm_grad(p: np.ndarray) -> np.ndarray:
+    return 2.0 * p
 
 
 def _sin_first(p: np.ndarray) -> np.ndarray:
     return np.sin(p[..., 0])
 
 
+def _sin_first_grad(p: np.ndarray) -> np.ndarray:
+    out = np.zeros_like(p)
+    out[..., 0] = np.cos(p[..., 0])
+    return out
+
+
 def _make_linear_mean() -> Functional:
-    return Linear(_first_coord, dim=1, name="linear-mean")
+    return Linear(_first_coord, dim=1, name="linear-mean", grad=_first_coord_grad)
 
 
 def _make_linear_square() -> Functional:
-    return Linear(_sq_norm, dim=1, name="linear-square")
+    return Linear(_sq_norm, dim=1, name="linear-square", grad=_sq_norm_grad)
 
 
 def _make_mean_square() -> Functional:
@@ -735,7 +778,7 @@ def _make_mean_square() -> Functional:
         df=lambda t: 2.0 * t,
         d2f=lambda t: 2.0 * np.ones_like(t),
         d3f=lambda t: np.zeros_like(t),
-        stat=_first_coord,
+        stat=_first_coord, stat_grad=_first_coord_grad,
         dim=1, name="mean-square",
     )
 
@@ -746,7 +789,7 @@ def _make_cube_of_second_moment() -> Functional:
         df=lambda t: 3.0 * t ** 2,
         d2f=lambda t: 6.0 * t,
         d3f=lambda t: 6.0 * np.ones_like(t),
-        stat=_sq_norm,
+        stat=_sq_norm, stat_grad=_sq_norm_grad,
         dim=1, name="cube-of-second-moment",
     )
 
@@ -756,7 +799,7 @@ def _make_sin_five_halves() -> Functional:
         f=lambda t: np.abs(t) ** 2.5,
         df=lambda t: 2.5 * np.sign(t) * np.abs(t) ** 1.5,
         d2f=lambda t: 3.75 * np.abs(t) ** 0.5,
-        stat=_sin_first,
+        stat=_sin_first, stat_grad=_sin_first_grad,
         dim=1, name="sin-five-halves",
     )
 
@@ -768,7 +811,7 @@ def _product_phi(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def _make_ustat_product() -> Functional:
     return UStatistic(
         _product_phi, 2, product_kernel=_first_coord,
-        dim=1, name="ustat-product",
+        dim=1, name="ustat-product", kernel_grad=_first_coord_grad,
     )
 
 

@@ -15,8 +15,13 @@ integrator sit:
   initial condition (1 - eps) mu + eps delta_y is realized by reweighting the
   same support atoms plus one extra atom, so perturbation noise is zero by
   construction,
+* the L-derivative d_mu V(t, mu)(x) by reverse mode through the stored Euler
+  states: for u = Phi of the evolved weighted cloud, du/dx_j = w_j d_mu V(x_j)
+  (the empirical projection of the L-derivative), so one forward and one
+  backward pass give d_mu V at every particle at once,
 * the two-term limit covariance Sigma of the fluctuation CLT by nested Monte
-  Carlo, and a master-equation residual diagnostic.
+  Carlo (term 1 from eps-slot differences, term 2 from the adjoint), and a
+  master-equation residual diagnostic.
 
 Time discretization is an artifact parameter (default dt = 1e-2); every
 quantity here is the Euler approximation of its continuous counterpart, and
@@ -33,7 +38,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .functionals import Functional, Linear, evaluate
+from .functionals import Functional, Linear, MomentForm, evaluate
 from .laws import Law, LawError, SamplerSpec, as_law
 from .measures import DiscreteMeasure
 from .rng import map_replications, stream
@@ -90,6 +95,12 @@ class MkvModel:
     "claims_bounded_coeffs"; they gate the covariance estimator.  Lipschitz
     continuity is the constructor's contract, spot-checked on probes.
     a(x, mu) = sigma sigma^T is positive semidefinite by construction.
+
+    ``drift_vjp(x, mu, rho) -> like x`` is the drift's vector-Jacobian product
+    per unit mass: with mu = sum_l w_l delta_{x_l} and cotangents rho_l, row j
+    is sum_l (d b(x_l, mu) / d x_j)^T w_l rho_l / w_j, written so that a row
+    of weight 0 needs no division.  The adjoint L-derivative (covariance term
+    2, master_lderiv) needs it and refuses a model without one.
     """
 
     name: str
@@ -99,6 +110,8 @@ class MkvModel:
     diffusion: Callable[[np.ndarray, BatchEmpirical], np.ndarray]
     initial: SamplerSpec
     flags: frozenset = frozenset()
+    drift_vjp: Callable[[np.ndarray, BatchEmpirical, np.ndarray],
+                        np.ndarray] | None = None
 
 
 def _lipschitz_spot_check(model: MkvModel, cap: float = 1e6) -> None:
@@ -121,12 +134,20 @@ def _ou_drift(x, mu):
     return -x
 
 
+def _ou_vjp(x, mu, rho):
+    return -rho
+
+
 def _unit_diffusion(x, mu):
     return np.ones(x.shape + (1,))
 
 
 def _mean_revert_drift(x, mu):
     return mu.mean() - x
+
+
+def _mean_revert_vjp(x, mu, rho):
+    return BatchEmpirical(rho, mu.weights).mean() - rho
 
 
 def _half_diffusion(x, mu):
@@ -138,18 +159,24 @@ def _sine_drift(x, mu):
     return np.sin(x) + pull[..., None]
 
 
+def _sine_vjp(x, mu, rho):
+    return np.cos(x) * (rho + BatchEmpirical(rho, mu.weights).mean())
+
+
 def make_model(name: str) -> MkvModel:
     """Built-in d = 1 models: ``ou``, ``mean-revert``, ``bounded-sine``."""
     if name == "ou":
         model = MkvModel("ou", 1, 1, _ou_drift, _unit_diffusion,
-                         SamplerSpec.normal())
+                         SamplerSpec.normal(), drift_vjp=_ou_vjp)
     elif name == "mean-revert":
         model = MkvModel("mean-revert", 1, 1, _mean_revert_drift,
-                         _half_diffusion, SamplerSpec.normal())
+                         _half_diffusion, SamplerSpec.normal(),
+                         drift_vjp=_mean_revert_vjp)
     elif name == "bounded-sine":
         model = MkvModel("bounded-sine", 1, 1, _sine_drift, _unit_diffusion,
                          SamplerSpec.normal(),
-                         flags=frozenset({"claims_bounded_coeffs"}))
+                         flags=frozenset({"claims_bounded_coeffs"}),
+                         drift_vjp=_sine_vjp)
     else:
         raise MeanFieldError(
             f"unknown model {name!r}; known: {', '.join(model_names())}")
@@ -457,6 +484,12 @@ def _phi_batch(phi: Functional, points: np.ndarray, weights: np.ndarray
     return out.reshape(k, b)
 
 
+def _master_noise(seed: int, n: int, d_noise: int) -> Callable[[int], np.ndarray]:
+    """The antithetic noise stream every master-function run of one seed
+    shares (n rows, +/- pairs 2j and 2j + 1)."""
+    return _antithetic_noise(stream(seed, "master-noise"), n, 0, d_noise)
+
+
 def _run_configs(ev: MasterEvaluator, steps: Sequence[int], base_pts: np.ndarray,
                  base_w: np.ndarray,
                  configs: Sequence[tuple[np.ndarray, float, np.ndarray, float]],
@@ -484,8 +517,7 @@ def _run_configs(ev: MasterEvaluator, steps: Sequence[int], base_pts: np.ndarray
         weights[i, :m] = base_scale[i] * base_w
         weights[i, m] = weights[i, m + 1] = zw / 2.0
         weights[i, m + 2] = weights[i, m + 3] = yw / 2.0
-    noise = _antithetic_noise(stream(seed, "master-noise"), m, 4,
-                              ev.model.noise_dim)
+    noise = _master_noise(seed, m + 4, ev.model.noise_dim)
     return _integrate(ev.model, points, weights, ev.dt, noise, steps), weights
 
 
@@ -505,18 +537,73 @@ def _slot_values(ev: MasterEvaluator, steps: Sequence[int], pts: np.ndarray,
                                             scale, seed))
 
 
-def _lderiv(ev: MasterEvaluator, steps: Sequence[int], pts: np.ndarray,
-            base_w: np.ndarray, ys: np.ndarray, seed: int) -> np.ndarray:
-    """(K, P, d) L-derivative at each of the K ascending step counts and each
-    row y of ys from one CRN run: the central +/-h difference of the eps-slot
-    values.  The y = 0 baseline cancels, so only shifted slots run."""
-    p, d = ys.shape
-    e = DEFAULT_H * np.eye(d)[:, None, :]  # (d, 1, d)
-    shifted = np.stack([ys[None] + e, ys[None] - e], axis=2)  # (d, P, 2, d)
-    vals = _slot_values(ev, steps, pts, base_w, shifted.reshape(-1, d),
-                        ev.eps, seed).reshape(-1, d, p, 2)
-    return ((vals[..., 0] - vals[..., 1]) / (2.0 * DEFAULT_H * ev.eps)
-            ).transpose(0, 2, 1)
+def _adjoint_moment_form(phi: Functional) -> MomentForm:
+    """Phi's moment form, which must carry exact statistic gradients: they
+    give the adjoint its terminal cotangent grad f(v) . grad G(x_j)."""
+    mf = phi.moment_form()
+    if mf is None or mf.stat_grad_fn is None:
+        raise MeanFieldError(
+            f"functional {phi.name or type(phi).__name__!r} has no moment form "
+            "with exact statistic gradients, which the adjoint L-derivative "
+            "needs (a quantile's particle gradient is a point mass)")
+    return mf
+
+
+def _constant_diffusion(model: MkvModel) -> np.ndarray:
+    """The (d, noise_dim) diffusion matrix of a model the adjoint can serve.
+
+    The backward pass differentiates the drift only, so the diffusion must
+    depend on neither x nor mu (spot-checked on two probe clouds) and the
+    model must carry a drift VJP."""
+    if model.drift_vjp is None:
+        raise MeanFieldError(
+            f"model {model.name!r} has no drift VJP, which the adjoint "
+            "L-derivative needs")
+    x = np.linspace(-1.5, 2.0, 6 * model.dim).reshape(1, 6, model.dim)
+    sx = [np.asarray(model.diffusion(p, BatchEmpirical(p)), dtype=float)
+          for p in (x, 3.0 * x + 1.0)]
+    sigma = sx[0][0, 0]
+    if not all(np.array_equal(v, np.broadcast_to(sigma, v.shape)) for v in sx):
+        raise MeanFieldError(
+            f"model {model.name!r}: the adjoint L-derivative needs a diffusion "
+            "that depends on neither x nor mu")
+    return sigma
+
+
+def _adjoint_lderiv(ev: MasterEvaluator, steps: Sequence[int], pts: np.ndarray,
+                    weights: np.ndarray,
+                    noise: Callable[[int], np.ndarray]) -> np.ndarray:
+    """(K, n, d) L-derivative d_mu V(t_k, mu)(x_j) at every row x_j of the
+    cloud mu = sum_j w_j delta_{x_j}, for each of the K ascending step counts.
+
+    One forward Euler pass under ``noise`` (the antithetic master-noise
+    stream: rows 2j and 2j + 1 form a +/- pair) stores every state.  One
+    backward pass carries the cotangent per unit mass, rho_j = (du/dx_j) / w_j
+    for u = Phi of the evolved cloud, from the terminal grad f(v) . grad G(x_j)
+    through rho <- rho + dt * drift_vjp(x, mu, rho) to step 0, where it is
+    d_mu V(x_j).  Each time is one row of the cotangent batch, entering at its
+    own step.  A row of weight 0 is a test particle: it moves in the cloud's
+    field without acting on it.
+    """
+    model = ev.model
+    mf = _adjoint_moment_form(ev.phi)
+    _constant_diffusion(model)
+    states = _integrate(model, pts[None], weights, ev.dt, noise,
+                        range(steps[-1] + 1))[:, 0]
+    rho = np.zeros((len(steps),) + pts.shape)
+    for k in range(steps[-1], -1, -1):
+        for i, stop in enumerate(steps):
+            if stop == k:
+                g = mf.stat_grads(states[k])  # (n, q, d)
+                v = weights @ mf.stats(states[k])
+                rho[i] = np.einsum("q,nqd->nd", mf.grad(v), g)
+        if k:
+            x = np.broadcast_to(states[k - 1], rho.shape)
+            rho = rho + ev.dt * np.asarray(
+                model.drift_vjp(x, BatchEmpirical(x, weights), rho), dtype=float)
+    if not np.all(np.isfinite(rho)):
+        raise MeanFieldError("non-finite adjoint L-derivative")
+    return rho
 
 
 def master_value(ev: MasterEvaluator, t: float, mu: object, seed: int) -> float:
@@ -561,10 +648,15 @@ def master_lfd(ev: MasterEvaluator, t: float, nu: object, y: object,
 
 def master_lderiv(ev: MasterEvaluator, t: float, nu: object, y: object,
                   seed: int) -> np.ndarray:
-    """L-derivative d_mu V(t, nu)(y) = grad_y dV/dm, central differences, (d,)."""
+    """L-derivative d_mu V(t, nu)(y) = grad_y dV/dm, (d,), by the adjoint
+    pass with y entered as a weight-0 test-particle pair; the pair's two
+    gradients are averaged."""
     y = np.atleast_1d(np.asarray(y, dtype=float))
     pts, base_w = _base_cloud(ev, as_law(nu), seed)
-    return _lderiv(ev, (_steps_for(t, ev.dt),), pts, base_w, y[None], seed)[0, 0]
+    rho = _adjoint_lderiv(ev, (_steps_for(t, ev.dt),), np.vstack([pts, y, y]),
+                          np.concatenate([base_w, [0.0, 0.0]]),
+                          _master_noise(seed, len(pts) + 2, ev.model.noise_dim))
+    return rho[0, -2:].mean(axis=0)
 
 
 def master_lfd2(ev: MasterEvaluator, t: float, nu: object, y: object,
@@ -630,12 +722,16 @@ def theta_second_derivative(ev: MasterEvaluator, t: float, nu: object,
 
 @dataclass(frozen=True)
 class CovarianceConfig:
-    """Sample sizes and grids of the two-term fluctuation covariance."""
+    """Sample sizes and grids of the two-term fluctuation covariance.
+
+    Term 1 uses ``xi_probes`` quadrature points of the initial law and an
+    ``inner_m``-particle slot cloud; term 2 uses every point of a
+    ``ref_size`` reference cloud at each ``s_stride``-th step of the dt grid.
+    """
 
     inner_m: int = 2000
     dt: float = DEFAULT_DT
     xi_probes: int = 64
-    path_probes: int = 32
     s_stride: int = 1  # left-Riemann stride over the dt grid
     ref_size: int = 4000
     force: bool = False
@@ -689,10 +785,20 @@ def theoretical_covariance(phi: Functional, model: MkvModel,
     + E int_0^{t_i ^ t_j} d_mu V(t_i - s, mu_s)(X_s)^T a(X_s, mu_s)
     d_mu V(t_j - s, mu_s)(X_s) ds, both by nested Monte Carlo.
 
+    Term 1 differences eps-slot runs at quadrature probes of the initial
+    law.  Term 2 takes mu_s as the reference cloud at each grid step s,
+    enters every cloud point as a +/- antithetic noise pair, and gets
+    d_mu V(t_i - s, mu_s) at all of them from one forward and one backward
+    Euler pass (the adjoint); X_s ranges over the cloud.  The adjoint needs
+    a drift VJP, a diffusion free of x and mu, and a moment-form Phi with
+    exact statistic gradients; anything else raises MeanFieldError.
+
     Gate: the fluctuation theorem needs a Dirac initial law or bounded
     coefficients; models claiming neither flag require ``config.force``
     (documented as a diagnostic run outside the theorem's hypotheses).
-    Standard errors combine probe-halving with an independent-seed re-run.
+    Each term's standard error is |full - half| + |full - alt| / 2: half
+    uses half the term-1 probes, or the term-2 cloud points of every other
+    antithetic pair of the same pass; alt re-runs at seed + 1.
     """
     times = tuple(float(t) for t in times)
     k = len(times)
@@ -711,47 +817,52 @@ def theoretical_covariance(phi: Functional, model: MkvModel,
 
     ev = MasterEvaluator(phi, model, m=config.inner_m, dt=config.dt)
     nu = as_law(model.initial)
+    _adjoint_moment_form(phi)  # refuse before term 1 spends its runs
+    sigma = _constant_diffusion(model)
+    a = sigma @ sigma.T
 
     def term1_at(p: int, sub_seed: int) -> np.ndarray:
         xis, xi_w = _xi_probes(model.initial, p, sub_seed)
         return _cov_of_values(master_lfd_batch(ev, times, nu, xis, sub_seed),
                               xi_w)
 
-    def term2_at(p: int, sub_seed: int) -> np.ndarray:
-        horizon = times[-1]
+    def term2_at(sub_seed: int) -> tuple[np.ndarray, np.ndarray]:
+        """(full, half) from one reference run and one adjoint pass per s."""
+        s_grid = _s_grid(times, config)
         final, ref_clouds = simulate_limit_reference(
-            model, config.ref_size, config.dt, horizon, sub_seed,
-            snapshot_times=_s_grid(times, config))
-        m_ref = final.shape[0]
-        # spread antithetic pairs across the cloud as path probes
-        pair_idx = (np.arange(p // 2) * (m_ref // 2) // max(p // 2, 1)) * 2
-        idx = np.sort(np.concatenate([pair_idx, pair_idx + 1]))
-        out = np.zeros((k, k))
-        for s in _s_grid(times, config):
+            model, config.ref_size, config.dt, times[-1], sub_seed,
+            snapshot_times=s_grid)
+        m_ref, d = final.shape
+        # every pass restarts the same noise stream: draw it once
+        draw = _master_noise(sub_seed, 2 * m_ref, model.noise_dim)
+        noise = np.asarray(
+            [draw(j) for j in range(_steps_for(times[-1], config.dt))])
+        full, half = np.zeros((k, k)), np.zeros((k, k))
+        for s in s_grid:
             cloud = ref_clouds[s]
-            mu_s = DiscreteMeasure(cloud)
-            base_pts, base_w = _base_cloud(ev, mu_s, sub_seed)
-            xs = cloud[idx]
             # the live times t > s are a suffix of the ascending times
             live = [_steps_for(t - s, config.dt) for t in times if t > s + 1e-12]
-            g = _lderiv(ev, live, base_pts, base_w, xs, sub_seed)  # (L, P, d)
-            batch = BatchEmpirical(cloud[None])
-            sx = np.asarray(model.diffusion(xs[None], batch), dtype=float)[0]
-            a = np.einsum("pij,pkj->pik", sx, sx)  # sigma sigma^T at probes
-            vals = np.einsum("ipk,pkl,jpl->ijp", g, a, g)
+            rho = _adjoint_lderiv(ev, live, np.repeat(cloud, 2, axis=0),
+                                  np.full(2 * m_ref, 0.5 / m_ref),
+                                  noise.__getitem__)
+            g = rho.reshape(len(live), m_ref, 2, d).mean(axis=2)  # pair means
+            # the reference pairs its own rows antithetically: keep every other
+            every_other = g[:, (np.arange(m_ref) // 2) % 2 == 0]
             lo = k - len(live)
-            out[lo:, lo:] += config.s_stride * config.dt * vals.mean(axis=-1)
-        return out
+            for out, gs in ((full, g), (half, every_other)):
+                out[lo:, lo:] += (config.s_stride * config.dt / gs.shape[1]
+                                  ) * np.einsum("ipk,kl,jpl->ij", gs, a, gs)
+        return full, half
 
-    def with_stderr(term_at: Callable[[int, int], np.ndarray], p: int
-                    ) -> tuple[np.ndarray, np.ndarray]:
-        full = term_at(p, seed)
-        half = term_at(max(p // 2, 2), seed)
-        alt = term_at(p, seed + 1)
-        return full, np.abs(full - half) + np.abs(full - alt) / 2.0
+    def stderr(full: np.ndarray, half: np.ndarray, alt: np.ndarray
+               ) -> np.ndarray:
+        return np.abs(full - half) + np.abs(full - alt) / 2.0
 
-    t1, se1 = with_stderr(term1_at, config.xi_probes)
-    t2, se2 = with_stderr(term2_at, config.path_probes)
+    p = config.xi_probes
+    t1 = term1_at(p, seed)
+    se1 = stderr(t1, term1_at(max(p // 2, 2), seed), term1_at(p, seed + 1))
+    t2, t2_half = term2_at(seed)
+    se2 = stderr(t2, t2_half, term2_at(seed + 1)[0])
 
     return CovarianceResult(
         matrix=t1 + t2, stderr=se1 + se2, term1=t1, term2=t2,
@@ -805,8 +916,14 @@ def master_equation_residual(ev: MasterEvaluator, t: float, mu: object,
         raise MeanFieldError("residual probe capped at 64 atoms")
 
     def lhs_at(s: int) -> float:
-        up = master_value(ev, t + tau, law, s)
-        down = master_value(ev, t - tau, law, s)
+        if t - tau == 0:  # V(0, mu) is the exact evaluate
+            down = master_value(ev, 0.0, law, s)
+            up = master_value(ev, t + tau, law, s)
+        else:  # one run, snapshotted at both times
+            pts, base_w = _base_cloud(ev, law, s)
+            steps = (_steps_for(t - tau, ev.dt), _steps_for(t + tau, ev.dt))
+            down, up = _slot_values(ev, steps, pts, base_w, np.zeros((1, 1)),
+                                    0.0, s)[:, 0]
         return (up - down) / (2.0 * tau)
 
     def rhs_at(s: int) -> float:

@@ -149,10 +149,15 @@ def test_config_error_exit_code(tmp_path, capsys):
     nine = ",".join(f"0.0{i}" for i in range(1, 10))
     assert run_cli(tmp_path, "meanfield", "run", "--model", "ou",
                    "--times", nine, "--seed", "1") == EXIT_CONFIG
+    # covariance term 2 needs exact particle gradients; a quantile's is a
+    # point mass, which would bias the product of two of them by O(M)
+    assert run_cli(tmp_path, "meanfield", "run", "--model", "ou", "--phi",
+                   "quantile:0.5", "--times", "0.1", "--seed", "1") == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "not on the dt=0.01 grid" in err
     assert "time -0.1 is negative" in err
     assert "between 1 and 8 time points" in err
+    assert "no moment form with exact statistic gradients" in err
     for probes in ("0", "-2"):  # zero probes would pass with nothing checked
         assert run_cli(tmp_path, "derivcheck", "--probes", probes,
                        "--seed", "1") == EXIT_CONFIG

@@ -201,6 +201,17 @@ def test_calculus_outputs_pinned(name):
         assert mf.grad(s).tolist() == want["grad"]
 
 
+@pytest.mark.parametrize("name", [n for n in CONCRETE if ":" not in n])
+def test_moment_form_stat_gradients_match_central_differences(name):
+    mf = make_functional(name).moment_form()
+    pts = stream(43, "stat-grad", name).normal(size=(9, 1))
+    h = 1e-6
+    numeric = (mf.stats(pts + h) - mf.stats(pts - h)) / (2 * h)  # (K, q)
+    got = mf.stat_grads(pts)
+    assert got.shape == (9, mf.stat_dim, 1)
+    assert np.allclose(got[..., 0], numeric, rtol=1e-8, atol=1e-9)
+
+
 # ---------------------------------------------------------------------------
 # normalization and structure of the derivative field
 

@@ -9,6 +9,7 @@ import hashlib
 import numpy as np
 import pytest
 
+import mfclt.mean_field as mean_field
 from mfclt.functionals import Linear, SmoothOfLinear, evaluate, make_functional
 from mfclt.laws import SamplerSpec, as_law
 from mfclt.measures import DiscreteMeasure
@@ -36,9 +37,10 @@ from mfclt.mean_field import (
     time_regularity_probe,
 )
 from mfclt.mean_field import (
+    _adjoint_lderiv,
     _base_cloud,
     _integrate,
-    _lderiv,
+    _master_noise,
     _stratified_initial,
     master_lfd_batch,
 )
@@ -58,7 +60,8 @@ def dirac(x: float) -> SamplerSpec:
 def ou_from(x0: float) -> MkvModel:
     base = make_model("ou")
     return MkvModel("ou-dirac", 1, 1, base.drift, base.diffusion, dirac(x0),
-                    flags=frozenset({"is_dirac_initial"}))
+                    flags=frozenset({"is_dirac_initial"}),
+                    drift_vjp=base.drift_vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -69,6 +72,27 @@ def test_model_registry():
     assert model_names() == ["bounded-sine", "mean-revert", "ou"]
     with pytest.raises(MeanFieldError, match="mean-revert"):
         make_model("nope")
+
+
+@pytest.mark.parametrize("name", ["ou", "mean-revert", "bounded-sine"])
+def test_drift_vjp_dot_product(name):
+    # <J dx, w rho> = <dx, w vjp(rho)> for the drift map of a weighted cloud,
+    # J dx by a central difference (exact for the linear models)
+    model = make_model(name)
+    rng = stream(5, "vjp-dot", name)
+    x, dx, rho = (rng.normal(size=(1, 7, 1)) for _ in range(3))
+    w = rng.uniform(0.1, 1.0, size=7)
+    w /= w.sum()
+
+    def drift(p):
+        return model.drift(p, BatchEmpirical(p, w))
+
+    h = 1e-6
+    jdx = (drift(x + h * dx) - drift(x - h * dx)) / (2 * h)
+    lhs = float(np.sum(w[:, None] * jdx[0] * rho[0]))
+    vjp = model.drift_vjp(x, BatchEmpirical(x, w), rho)
+    rhs = float(np.sum(w[:, None] * dx[0] * vjp[0]))
+    assert lhs == pytest.approx(rhs, rel=1e-8, abs=1e-12)
 
 
 def test_batch_empirical_weighted_expectations():
@@ -229,6 +253,18 @@ def test_master_lderiv_linear_ou_is_euler_factor():
     assert got[0] == pytest.approx(euler_factor(0.25), abs=1e-9)
 
 
+def test_master_lderiv_mean_square_has_no_eps_bias():
+    # V(t, mu) = (e(t) mean(mu))^2 under zero-noise-mean OU dynamics, so
+    # d_mu V(t, delta_c)(y) = 2 e(t)^2 c at every y; an eps-slot difference
+    # would carry the bias 2 e(t)^2 eps (y - c)
+    c, t = 0.5, 0.25
+    ev = MasterEvaluator(make_functional("mean-square"), make_model("ou"),
+                         m=2000, dt=0.01)
+    for y in (-0.7, 1.3):
+        got = master_lderiv(ev, t, DiscreteMeasure(np.array([[c]])), y, seed=19)
+        assert got[0] == pytest.approx(2 * euler_factor(t) ** 2 * c, abs=1e-12)
+
+
 def test_master_lfd_mean_square_expansion():
     # V(t, mu) = (e(t) mean)^2 under zero-noise-mean dynamics; the eps-slope
     # of the squared mean at a Dirac at c adds the O(eps) quadratic term
@@ -270,9 +306,10 @@ def test_time_grid_equals_stacked_single_times(model_name):
                                 richardson=richardson)[0] for t in (0.05, 0.1)]
         assert both.tolist() == np.stack(one).tolist()
     pts, base_w = _base_cloud(ev, nu, seed=5)
-    both = _lderiv(ev, (5, 10), pts, base_w, ys, seed=5)
-    one = [_lderiv(ev, (k,), pts, base_w, ys, seed=5)[0] for k in (5, 10)]
-    assert both.shape == (2, 3, 1)
+    noise = lambda: _master_noise(5, len(pts), 1)
+    both = _adjoint_lderiv(ev, (5, 10), pts, base_w, noise())
+    one = [_adjoint_lderiv(ev, (k,), pts, base_w, noise())[0] for k in (5, 10)]
+    assert both.shape == (2, 200, 1)
     assert both.tolist() == np.stack(one).tolist()
 
 
@@ -350,8 +387,8 @@ def test_master_residual_needs_supported_law():
 
 
 def fast_cov_config(**kw):
-    base = dict(inner_m=1000, xi_probes=32, path_probes=16, s_stride=2,
-                ref_size=2000, force=True)
+    base = dict(inner_m=1000, xi_probes=32, s_stride=2, ref_size=2000,
+                force=True)
     base.update(kw)
     return CovarianceConfig(**base)
 
@@ -394,7 +431,8 @@ def test_covariance_mean_revert_exact_forms():
     from_dirac = theoretical_covariance(
         LINEAR_MEAN,
         MkvModel("mean-revert-dirac", 1, 1, base.drift, base.diffusion,
-                 dirac(1.0), flags=frozenset({"is_dirac_initial"})),
+                 dirac(1.0), flags=frozenset({"is_dirac_initial"}),
+                 drift_vjp=base.drift_vjp),
         times, fast_cov_config(force=False), seed=37)
     from_normal = theoretical_covariance(
         LINEAR_MEAN, base, times, fast_cov_config(), seed=37)
@@ -408,39 +446,113 @@ def test_covariance_mean_revert_exact_forms():
     assert np.allclose(from_dirac.term1, 0.0, atol=1e-9)
 
 
-# Outputs of the nested Monte Carlo estimators, recorded before their slot
-# rows and +/-h stencil were shared between estimators.  Exact equality: a
-# restructuring of the estimators must not move a single bit.
+def euler_term2(times, dt=0.01) -> np.ndarray:
+    # OU x linear-mean: d_mu V(t - s) = (1 - dt)^(K - k) everywhere and a = 1,
+    # so left-Riemann term 2 is sum_k dt (1 - dt)^(Ki + Kj - 2k)
+    steps = [round(t / dt) for t in times]
+    return np.array([[sum(dt * (1 - dt) ** (ki + kj - 2 * k)
+                          for k in range(min(ki, kj))) for kj in steps]
+                     for ki in steps])
+
+
+def test_covariance_term2_ou_is_the_euler_sum():
+    times = (0.1, 0.2)
+    res = theoretical_covariance(LINEAR_MEAN, make_model("ou"), times,
+                                 fast_cov_config(s_stride=1, ref_size=800),
+                                 seed=7)
+    assert np.max(np.abs(res.term2 - euler_term2(times))) < 1e-12
+
+
+def test_covariance_term2_mean_revert_linear_square_exact_euler():
+    # V(tau, mu) = m^2 (1 - q) + q M2 + (1 - q)/8 with q = (1 - dt)^(2K) under
+    # mean-revert Euler dynamics; integrating the exact d_mu V over the Euler
+    # law of X_s with the left-Riemann rule gives these three entries
+    base = make_model("mean-revert")
+    model = MkvModel("mean-revert-half", 1, 1, base.drift, base.diffusion,
+                     SamplerSpec.normal(0.5, 1.0), drift_vjp=base.drift_vjp)
+    res = theoretical_covariance(make_functional("linear-square"), model,
+                                 (0.1, 0.2), CovarianceConfig(force=True),
+                                 seed=7)
+    want = np.array([[0.099275, 0.085750], [0.085750, 0.162284]])
+    assert np.all(np.abs(res.term2 - want) <= 3 * res.stderr)
+    # not vacuous: three reported SE resolve a 2 % bias
+    assert np.all(3 * res.stderr < 0.02 * want)
+
+
+def test_term2_runs_the_reference_once_per_seed(monkeypatch):
+    seeds = []
+    real = mean_field.simulate_limit_reference
+
+    def recording(model, m, dt, t, seed, snapshot_times=()):
+        seeds.append(seed)
+        return real(model, m, dt, t, seed, snapshot_times)
+
+    monkeypatch.setattr(mean_field, "simulate_limit_reference", recording)
+    theoretical_covariance(LINEAR_MEAN, make_model("ou"), (0.02, 0.04),
+                           fast_cov_config(), seed=7)
+    assert seeds == [7, 8]
+
+
+def test_adjoint_refuses_what_it_cannot_serve():
+    ou = make_model("ou")
+    state_noise = MkvModel("state-noise", 1, 1, ou.drift,
+                           lambda x, mu: np.cos(x)[..., None], ou.initial,
+                           drift_vjp=ou.drift_vjp)
+    law_noise = MkvModel("law-noise", 1, 1, ou.drift,
+                         lambda x, mu: np.broadcast_to(
+                             1.0 + mu.mean() ** 2, x.shape)[..., None],
+                         ou.initial, drift_vjp=ou.drift_vjp)
+    no_vjp = MkvModel("no-vjp", 1, 1, ou.drift, ou.diffusion, ou.initial)
+    cases = [(state_noise, LINEAR_MEAN, "neither x nor mu"),
+             (law_noise, LINEAR_MEAN, "neither x nor mu"),
+             (no_vjp, LINEAR_MEAN, "no drift VJP"),
+             (ou, make_functional("quantile:0.5"), "point mass"),
+             (ou, Linear(lambda p: p[..., 0], dim=1), "statistic gradients")]
+    nu = DiscreteMeasure(np.array([[0.0]]))
+    for model, phi, msg in cases:
+        with pytest.raises(MeanFieldError, match=msg):
+            theoretical_covariance(phi, model, (0.02,), fast_cov_config(),
+                                   seed=1)
+        with pytest.raises(MeanFieldError, match=msg):
+            master_lderiv(MasterEvaluator(phi, model, m=8), 0.02, nu, 0.4,
+                          seed=1)
+
+
+# Outputs of the nested Monte Carlo estimators.  term1 was recorded before
+# the slot rows were shared between estimators; term2 (so matrix and stderr)
+# was re-recorded when the adjoint replaced the +/-h stencil, whose values
+# here were its eps bias: mean-square at a centred law has d_mu V near 0.
+# Exact equality: a restructuring of the estimators must not move a bit.
 PINNED_COVARIANCE = {
     "ou": {
-        "matrix": [[0.0042990450782277, 0.003516218794525666],
-                   [0.0035162187945256655, 0.0037779478199694017]],
-        "stderr": [[0.0003041786018044186, 0.0002487897886844588],
-                   [0.000248789788684459, 0.00044488158510437874]],
+        "matrix": [[0.0033448587928484024, 0.0027357832119538077],
+                   [0.0027357832119538072, 0.002237616068819055]],
+        "stderr": [[1.5178830414797062e-18, 1.0842021724855044e-18],
+                   [1.3010426069826053e-18, 8.673617379884035e-19]],
         "term1": [[0.0033448587928484024, 0.0027357832119538077],
                   [0.0027357832119538072, 0.002237616068819055]],
-        "term2": [[0.0009541862853792975, 0.0007804355825718584],
-                  [0.0007804355825718584, 0.0015403317511503468]],
+        "term2": [[6.976421116426504e-35, -1.8784962512108213e-35],
+                  [-1.8784962512108213e-35, 2.8984127491035894e-34]],
     },
     "mean-revert": {
-        "matrix": [[0.0052882427196833375, 0.005288242719683342],
-                   [0.005288242719683342, 0.0055331226572412975]],
-        "stderr": [[9.20102641824855e-05, 9.201026418247454e-05],
-                   [9.201026418247454e-05, 0.00016699496004031028]],
+        "matrix": [[0.0049999999999999906, 0.0049999999999999975],
+                   [0.0049999999999999975, 0.005000000000000003]],
+        "stderr": [[2.6454533008646308e-17, 1.6479873021779667e-17],
+                   [1.6479873021779667e-17, 7.806255641895632e-18]],
         "term1": [[0.0049999999999999906, 0.0049999999999999975],
                   [0.0049999999999999975, 0.005000000000000003]],
-        "term2": [[0.0002882427196833466, 0.00028824271968334473],
-                  [0.00028824271968334473, 0.0005331226572412953]],
+        "term2": [[6.891218082260578e-35, 1.6313980798452037e-35],
+                  [1.6313980798452037e-35, 4.242970369180063e-35]],
     },
     "bounded-sine": {
-        "matrix": [[0.007833421645435478, 0.00875364920999962],
-                   [0.00875364920999962, 0.011617064837240423]],
-        "stderr": [[0.0002944243523101494, 0.00020462449276916438],
-                   [0.00020462449276916438, 0.00040074917949035156]],
+        "matrix": [[0.006415184218828212, 0.007239096895277223],
+                   [0.007239096895277223, 0.008249682463825412]],
+        "stderr": [[1.3389499073441462e-05, 1.3122176705836267e-05],
+                   [1.3122176705836267e-05, 5.322291312826258e-06]],
         "term1": [[0.00641517845606741, 0.00723907007449787],
                   [0.00723907007449787, 0.008249105773574924]],
-        "term2": [[0.0014182431893680675, 0.0015145791355017516],
-                  [0.0015145791355017516, 0.003367959063665499]],
+        "term2": [[5.7627608015469244e-09, 2.682077935271922e-08],
+                  [2.682077935271922e-08, 5.766902504876492e-07]],
     },
 }
 
