@@ -139,7 +139,10 @@ class ExperimentConfig:
                 parse_law(self.law)
             except ConfigError as exc:
                 problems.append(str(exc))
-        if self.kind == "meanfield" and self.model not in model_names():
+        if self.kind == "meanfield" and self.model is None:
+            problems.append("meanfield run needs --model; registry: "
+                            + ", ".join(model_names()))
+        elif self.kind == "meanfield" and self.model not in model_names():
             problems.append(
                 f"unknown model {self.model!r}; registry: {', '.join(model_names())}")
         if self.kind == "meanfield" and self.phi:
@@ -459,7 +462,7 @@ def _run_scaling(cfg: ExperimentConfig) -> tuple[dict, str | None, dict]:
 
 
 def _run_meanfield(cfg: ExperimentConfig) -> tuple[dict, str | None, dict]:
-    model = make_model(cfg.model or "ou")
+    model = make_model(cfg.model)
     phi = make_functional(cfg.phi or "linear-mean")
     report = fluctuation_process(phi, model, cfg.n, cfg.times, cfg.reps,
                                  cfg.seed, dt=cfg.dt, ref_size=cfg.ref_size,

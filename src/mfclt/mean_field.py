@@ -10,18 +10,16 @@ integrator sit:
   bias is estimated by split-half and reported, never absorbed),
 * the fluctuation process F^N_t = sqrt(N) [Phi(mu^N_t) - Phi(mu_t)] replicated
   over independent particle runs,
-* a MasterEvaluator for V(t, mu) = Phi(Law(X_t^theta)) and its measure
-  derivatives by common-random-number finite differences: the perturbed
-  initial condition (1 - eps) mu + eps delta_y is realized by reweighting the
-  same support atoms plus one extra atom, so perturbation noise is zero by
-  construction,
-* the L-derivative d_mu V(t, mu)(x) by reverse mode through the stored Euler
-  states: for u = Phi of the evolved weighted cloud, du/dx_j = w_j d_mu V(x_j)
-  (the empirical projection of the L-derivative), so one forward and one
-  backward pass give d_mu V at every particle at once,
-* the two-term limit covariance Sigma of the fluctuation CLT by nested Monte
-  Carlo (term 1 from eps-slot differences, term 2 from the adjoint), and a
-  master-equation residual diagnostic.
+* a MasterEvaluator for V(t, mu) = Phi(Law(X_t^theta)): dV/dm and d2V/dm2 by
+  common-random-number eps-slot differences, where (1 - eps) mu + eps delta_y
+  reweights the same atoms plus one antithetic slot pair,
+* every spatial derivative of V by reverse mode through the stored Euler
+  states: du/dx_j = w_j d_mu V(x_j) for u = Phi of the evolved weighted cloud,
+  so one forward and one backward pass give d_mu V at every particle and at
+  weight-0 test particles,
+* the two-term limit covariance Sigma of the fluctuation CLT (term 1 from
+  eps-slot differences, term 2 from the adjoint), the Ito-remainder kernel
+  theta and a master-equation residual, both from the adjoint.
 
 Time discretization is an artifact parameter (default dt = 1e-2); every
 quantity here is the Euler approximation of its continuous counterpart, and
@@ -38,7 +36,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .functionals import Functional, Linear, MomentForm, evaluate
+from .functionals import Functional, MomentForm, evaluate
 from .laws import Law, LawError, SamplerSpec, as_law
 from .measures import DiscreteMeasure
 from .rng import map_replications, stream
@@ -404,9 +402,9 @@ class MasterEvaluator:
     """Nested Monte Carlo evaluator of V(t, mu) = Phi(Law(X_t | X_0 ~ mu)).
 
     ``m`` inner particles (even), measure step ``eps``, spatial step DEFAULT_H.
-    All runs with the same seed share one noise tensor (CRN): clouds are laid
-    out as [m base atoms | slot z | slot y], and perturbations only reweight
-    or move the slots, so finite differences subtract coupled runs.
+    All runs with the same seed share the master noise (CRN): an eps slot
+    reweights the base atoms and adds one antithetic pair of rows, and a test
+    particle is a weight-0 pair, so differences subtract coupled runs.
     """
 
     phi: Functional
@@ -490,51 +488,28 @@ def _master_noise(seed: int, n: int, d_noise: int) -> Callable[[int], np.ndarray
     return _antithetic_noise(stream(seed, "master-noise"), n, 0, d_noise)
 
 
-def _run_configs(ev: MasterEvaluator, steps: Sequence[int], base_pts: np.ndarray,
-                 base_w: np.ndarray,
-                 configs: Sequence[tuple[np.ndarray, float, np.ndarray, float]],
-                 base_scale: np.ndarray, seed: int
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """Evolve a batch of perturbed initial conditions under CRN.
-
-    Each config is (slot_z_point, slot_z_weight, slot_y_point, slot_y_weight);
-    ``base_scale`` (B,) multiplies the shared base weights so each row still
-    sums to one.  Each slot is realized as an antithetic pair of rows with
-    half the slot weight each, so slot noise has exactly zero mean under
-    linear dynamics.  Row layout: [m base | z z | y y].  One run to the last
-    of the ascending step counts ``steps`` snapshots every one of them, so a
-    shorter horizon is the prefix of the same noise stream.
-    Returns (states (K, B, m+4, d) at the K steps, weights (B, m+4)).
-    """
-    m, d = base_pts.shape
-    b = len(configs)
-    points = np.empty((b, m + 4, d))
-    weights = np.empty((b, m + 4))
-    for i, (zp, zw, yp, yw) in enumerate(configs):
-        points[i, :m] = base_pts
-        points[i, m] = points[i, m + 1] = zp
-        points[i, m + 2] = points[i, m + 3] = yp
-        weights[i, :m] = base_scale[i] * base_w
-        weights[i, m] = weights[i, m + 1] = zw / 2.0
-        weights[i, m + 2] = weights[i, m + 3] = yw / 2.0
-    noise = _master_noise(seed, m + 4, ev.model.noise_dim)
-    return _integrate(ev.model, points, weights, ev.dt, noise, steps), weights
-
-
 def _slot_values(ev: MasterEvaluator, steps: Sequence[int], pts: np.ndarray,
                  base_w: np.ndarray, ys: np.ndarray, eps: float, seed: int
                  ) -> np.ndarray:
     """(K, P) values V(t_k, (1 - eps) nu + eps delta_y) for each of the K
     ascending step counts and each row y of ys, from one CRN run.
 
-    ``(pts, base_w)`` is the base cloud of nu (see _base_cloud); the z slot
-    stays empty, and eps = 0 gives V(t, nu) on every row.
+    ``(pts, base_w)`` is the base cloud of nu; eps = 0 gives V(t, nu).  Rows
+    are [n base | 0 0 | y y]: y is an antithetic pair of weight eps/2 each (so
+    its noise has zero mean under linear dynamics), and the weight-0 pair
+    keeps the noise layout every estimator of one seed has always used.  A
+    shorter horizon is a prefix of the same run.
     """
-    zero = np.zeros(pts.shape[1])
-    configs = [(zero, 0.0, y, eps) for y in ys]
-    scale = np.full(len(configs), 1.0 - eps)
-    return _phi_batch(ev.phi, *_run_configs(ev, steps, pts, base_w, configs,
-                                            scale, seed))
+    n, d = pts.shape
+    points = np.zeros((len(ys), n + 4, d))
+    points[:, :n] = pts
+    points[:, n + 2:] = ys[:, None]
+    weights = np.zeros((len(ys), n + 4))
+    weights[:, :n] = (1.0 - eps) * base_w
+    weights[:, n + 2:] = eps / 2.0
+    noise = _master_noise(seed, n + 4, ev.model.noise_dim)
+    return _phi_batch(ev.phi, _integrate(ev.model, points, weights, ev.dt,
+                                         noise, steps), weights)
 
 
 def _adjoint_moment_form(phi: Functional) -> MomentForm:
@@ -606,6 +581,25 @@ def _adjoint_lderiv(ev: MasterEvaluator, steps: Sequence[int], pts: np.ndarray,
     return rho
 
 
+def _lderiv_at(ev: MasterEvaluator, steps: Sequence[int], pts: np.ndarray,
+               weights: np.ndarray, ys: np.ndarray, seed: int) -> np.ndarray:
+    """(K, P, d) d_mu V(t_k, mu)(y) at each row y of ys for the cloud mu =
+    (pts, weights): each y is a weight-0 test-particle pair, and its two
+    gradients are averaged.  Every pair reuses rows n and n + 1 of the master
+    noise; test particles do not act on the cloud, so nearby ys stay coupled.
+    """
+    n, p = len(pts), len(ys)
+    draw = _master_noise(seed, n + 2, ev.model.noise_dim)
+
+    def noise(k: int) -> np.ndarray:
+        xi = draw(k)
+        return np.concatenate([xi[:n], np.tile(xi[n:], (p, 1))])
+
+    rho = _adjoint_lderiv(ev, steps, np.vstack([pts, np.repeat(ys, 2, axis=0)]),
+                          np.concatenate([weights, np.zeros(2 * p)]), noise)
+    return rho[:, n:].reshape(len(steps), p, 2, -1).mean(axis=2)
+
+
 def master_value(ev: MasterEvaluator, t: float, mu: object, seed: int) -> float:
     """V(t, mu) = Phi of the evolved inner cloud; t = 0 is exact."""
     law = as_law(mu)
@@ -649,36 +643,32 @@ def master_lfd(ev: MasterEvaluator, t: float, nu: object, y: object,
 def master_lderiv(ev: MasterEvaluator, t: float, nu: object, y: object,
                   seed: int) -> np.ndarray:
     """L-derivative d_mu V(t, nu)(y) = grad_y dV/dm, (d,), by the adjoint
-    pass with y entered as a weight-0 test-particle pair; the pair's two
-    gradients are averaged."""
+    with y as a test particle."""
     y = np.atleast_1d(np.asarray(y, dtype=float))
     pts, base_w = _base_cloud(ev, as_law(nu), seed)
-    rho = _adjoint_lderiv(ev, (_steps_for(t, ev.dt),), np.vstack([pts, y, y]),
-                          np.concatenate([base_w, [0.0, 0.0]]),
-                          _master_noise(seed, len(pts) + 2, ev.model.noise_dim))
-    return rho[0, -2:].mean(axis=0)
+    return _lderiv_at(ev, (_steps_for(t, ev.dt),), pts, base_w, y[None],
+                      seed)[0, 0]
+
+
+def _with_z_slot(pts: np.ndarray, base_w: np.ndarray, z: np.ndarray,
+                 eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """(1 - eps) nu + eps delta_z: z joins nu's cloud as a pair of eps/2 rows."""
+    return (np.vstack([pts, z, z]),
+            np.concatenate([(1.0 - eps) * base_w, [eps / 2.0, eps / 2.0]]))
 
 
 def master_lfd2(ev: MasterEvaluator, t: float, nu: object, y: object,
                 z: object, seed: int) -> float:
     """Second measure derivative d2V/dm2(t, nu, y, z) by iterated eps-steps:
-    [dV/dm((1-eps)nu + eps delta_z, y) - dV/dm(nu, y)] / eps."""
+    [dV/dm(nu_z, y) - dV/dm(nu, y)] / eps with nu_z = (1-eps)nu + eps delta_z;
+    nu carries the z pair at weight 0, so all four runs share one layout."""
     y = np.atleast_1d(np.asarray(y, dtype=float))
     z = np.atleast_1d(np.asarray(z, dtype=float))
-    law = as_law(nu)
-    steps = _steps_for(t, ev.dt)
-    pts, base_w = _base_cloud(ev, law, seed)
-    eps = ev.eps
-    zero = np.zeros(ev.model.dim)
-    configs = [
-        (z, eps * (1 - eps), y, eps),      # V over (1-eps)nu_z + eps delta_y
-        (z, eps * (1 - eps), zero, eps),
-        (zero, 0.0, y, eps),               # V over (1-eps)nu + eps delta_y
-        (zero, 0.0, zero, eps),
-    ]
-    scale = np.asarray([(1 - eps) ** 2, (1 - eps) ** 2, 1 - eps, 1 - eps])
-    v = _phi_batch(ev.phi, *_run_configs(ev, (steps,), pts, base_w, configs,
-                                         scale, seed))[0]
+    pts, base_w = _base_cloud(ev, as_law(nu), seed)
+    eps, steps = ev.eps, (_steps_for(t, ev.dt),)
+    rows = np.vstack([y, np.zeros_like(y)])  # slot at y, baseline slot at 0
+    v = np.concatenate([_slot_values(ev, steps, *_with_z_slot(pts, base_w, z, w),
+                                     rows, eps, seed)[0] for w in (eps, 0.0)])
     return float(((v[0] - v[1]) - (v[2] - v[3])) / eps ** 2)
 
 
@@ -687,33 +677,20 @@ def theta_second_derivative(ev: MasterEvaluator, t: float, nu: object,
     """Mixed spatial second derivative d_z d_y of d2V/dm2(t, nu, z, y).
 
     This is the kernel weighting the O(N^-3/2) Ito remainder; it vanishes
-    identically for linear Phi under linear dynamics.  For Linear Phi the
-    estimator differences the statistic tensors before reducing, so that
-    structural cancellations survive floating point exactly.
+    identically for linear Phi under linear dynamics.  The estimate is
+    [d_mu V(nu_{z+h})(y) - d_mu V(nu_{z-h})(y)] / (2 h eps) by the adjoint,
+    with nu_z = (1 - eps) nu + eps delta_z; where d_mu V does not depend on
+    the cloud, the two passes agree bit for bit and it is 0.0 exactly.
     """
     y = np.atleast_1d(np.asarray(y, dtype=float))
     z = np.atleast_1d(np.asarray(z, dtype=float))
     if ev.model.dim != 1:
         raise MeanFieldError("theta probe implemented for d = 1")
-    law = as_law(nu)
-    steps = _steps_for(t, ev.dt)
-    pts, base_w = _base_cloud(ev, law, seed)
-    eps, h = ev.eps, DEFAULT_H
-    e = np.asarray([h])
-    configs = [(z + a * e, eps * (1 - eps), y + b * e, eps)
-               for a in (+1, -1) for b in (+1, -1)]
-    scale = np.full(4, (1 - eps) ** 2)
-    final, weights = _run_configs(ev, (steps,), pts, base_w, configs, scale, seed)
-    denom = 4.0 * h ** 2 * eps ** 2
-    if isinstance(ev.phi, Linear):
-        # difference the per-atom statistics first: rows identical across
-        # configs cancel exactly, so the estimate is 0.0 bit-for-bit when the
-        # value truly does not depend on the slot positions
-        g = np.asarray(ev.phi.phi(final[0]), dtype=float)  # (4, m+4)
-        diff = (g[0] - g[1]) + (g[3] - g[2])
-        return float(np.dot(weights[0], diff)) / denom
-    v = _phi_batch(ev.phi, final, weights)[0]
-    return float((v[0] - v[1]) - (v[2] - v[3])) / denom
+    pts, base_w = _base_cloud(ev, as_law(nu), seed)
+    eps, h, steps = ev.eps, DEFAULT_H, (_steps_for(t, ev.dt),)
+    rho_y = [_lderiv_at(ev, steps, *_with_z_slot(pts, base_w, zh, eps), y[None],
+                        seed)[0, 0, 0] for zh in (z + h, z - h)]
+    return float(rho_y[0] - rho_y[1]) / (2.0 * h * eps)
 
 
 # ---------------------------------------------------------------------------
@@ -893,14 +870,17 @@ def master_equation_residual(ev: MasterEvaluator, t: float, mu: object,
                              seed: int) -> MasterResidual:
     """|dV/dt - int [d_mu V . b + 1/2 tr(a d_v d_mu V)] dmu| at (t, mu).
 
-    All derivatives are finite differences under CRN (tau = 2 dt, h =
-    DEFAULT_H); d = 1 only.  The budget
-    3 * spread + (5 dt + 5 tau^2 + 5 h^2 + eps) * (1 + |lhs| + |rhs|) combines
-    a two-seed Monte Carlo spread with first-order discretization allowances;
+    dV/dt is a CRN central difference (tau = 2 dt); d_mu V at each atom y
+    and at y +/- h (h = DEFAULT_H) comes from the adjoint, as in covariance
+    term 2, and d_v d_mu V is the central difference; d = 1 only.  The budget
+    3 * spread + (5 dt + 5 tau^2 + 5 h^2) * (1 + |lhs| + |rhs|) combines a
+    two-seed Monte Carlo spread with first-order discretization allowances;
     it is a smoke-test tolerance, not a proven bound.
     """
     if ev.model.dim != 1:
         raise MeanFieldError("master-equation residual implemented for d = 1")
+    _adjoint_moment_form(ev.phi)  # refuse before lhs spends its runs
+    a = float(np.sum(_constant_diffusion(ev.model) ** 2))  # sigma sigma^T
     law = as_law(mu)
     tau, h = 2 * ev.dt, DEFAULT_H
     if t - tau < -1e-12:
@@ -927,19 +907,14 @@ def master_equation_residual(ev: MasterEvaluator, t: float, mu: object,
         return (up - down) / (2.0 * tau)
 
     def rhs_at(s: int) -> float:
-        steps = _steps_for(t, ev.dt)
         pts, base_w = _base_cloud(ev, law, s)
-        eps = ev.eps
         stencil = support.points + np.asarray([h, 0.0, -h])  # (atoms, 3)
-        vals = _slot_values(ev, (steps,), pts, base_w, stencil.reshape(-1, 1),
-                            eps, s).reshape(support.natoms, 3)
-        lderiv = (vals[:, 0] - vals[:, 2]) / (2.0 * h * eps)
-        second = (vals[:, 0] - 2.0 * vals[:, 1] + vals[:, 2]) / (eps * h * h)
-        batch = BatchEmpirical(support.points[None],
-                               support.weights[None])
+        rho = _lderiv_at(ev, (_steps_for(t, ev.dt),), pts, base_w,
+                         stencil.reshape(-1, 1), s).reshape(support.natoms, 3)
+        second = (rho[:, 0] - rho[:, 2]) / (2.0 * h)
+        batch = BatchEmpirical(support.points[None], support.weights[None])
         bx = np.asarray(ev.model.drift(support.points[None], batch))[0, :, 0]
-        sx = np.asarray(ev.model.diffusion(support.points[None], batch))[0, :, 0, 0]
-        integrand = lderiv * bx + 0.5 * sx * sx * second
+        integrand = rho[:, 1] * bx + 0.5 * a * second
         return float(support.weights @ integrand)
 
     lhs, rhs = lhs_at(seed), rhs_at(seed)
@@ -947,7 +922,7 @@ def master_equation_residual(ev: MasterEvaluator, t: float, mu: object,
     spread = max(abs(lhs - lhs_b), abs(rhs - rhs_b))
     residual = abs(lhs - rhs)
     scale = 1.0 + abs(lhs) + abs(rhs)
-    budget = 3.0 * spread + (5 * ev.dt + 5 * tau ** 2 + 5 * h ** 2 + ev.eps) * scale
+    budget = 3.0 * spread + (5 * ev.dt + 5 * tau ** 2 + 5 * h ** 2) * scale
     return MasterResidual(lhs=lhs, rhs=rhs, residual=residual, budget=budget,
                           mc_spread=spread, tau=tau)
 

@@ -153,11 +153,15 @@ def test_config_error_exit_code(tmp_path, capsys):
     # point mass, which would bias the product of two of them by O(M)
     assert run_cli(tmp_path, "meanfield", "run", "--model", "ou", "--phi",
                    "quantile:0.5", "--times", "0.1", "--seed", "1") == EXIT_CONFIG
+    assert run_cli(tmp_path, "meanfield", "run", "--times", "0.02", "--n",
+                   "20", "--reps", "5", "--seed", "1") == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "not on the dt=0.01 grid" in err
     assert "time -0.1 is negative" in err
     assert "between 1 and 8 time points" in err
     assert "no moment form with exact statistic gradients" in err
+    assert ("meanfield run needs --model; registry: bounded-sine, "
+            "mean-revert, ou") in err
     for probes in ("0", "-2"):  # zero probes would pass with nothing checked
         assert run_cli(tmp_path, "derivcheck", "--probes", probes,
                        "--seed", "1") == EXIT_CONFIG

@@ -57,6 +57,13 @@ def dirac(x: float) -> SamplerSpec:
     return SamplerSpec.discrete(DiscreteMeasure(np.array([[float(x)]])))
 
 
+def mean_revert_half() -> MkvModel:
+    # mean-revert started off centre, at N(1/2, 1)
+    base = make_model("mean-revert")
+    return MkvModel("mean-revert-half", 1, 1, base.drift, base.diffusion,
+                    SamplerSpec.normal(0.5, 1.0), drift_vjp=base.drift_vjp)
+
+
 def ou_from(x0: float) -> MkvModel:
     base = make_model("ou")
     return MkvModel("ou-dirac", 1, 1, base.drift, base.diffusion, dirac(x0),
@@ -345,11 +352,15 @@ def test_theta_estimator_exactly_zero_for_linear_phi():
 
 
 def test_theta_estimator_nonzero_for_nonlinear_phi():
-    ev = MasterEvaluator(make_functional("mean-square"), make_model("ou"),
-                         m=2000, dt=0.01)
+    # V = (e(t) m(mu))^2 with e(t) the Euler factor (1 for mean-revert, which
+    # conserves the mean), so d_mu V(y) = 2 e^2 m(mu) and theta = 2 e^2; an
+    # eps-slot stencil would carry an O(eps) bias
     nu = DiscreteMeasure(np.array([[0.4]]))
-    got = theta_second_derivative(ev, 0.25, nu, 1.0, 1.0, seed=29)
-    assert got == pytest.approx(2.0 * euler_factor(0.25) ** 2, rel=0.05)
+    for name, e in (("ou", euler_factor(0.25)), ("mean-revert", 1.0)):
+        ev = MasterEvaluator(make_functional("mean-square"), make_model(name),
+                             m=2000, dt=0.01)
+        got = theta_second_derivative(ev, 0.25, nu, 1.0, 1.0, seed=29)
+        assert got == pytest.approx(2.0 * e ** 2, abs=1e-12), name
 
 
 def test_master_evaluator_rejects_odd_m():
@@ -372,6 +383,21 @@ def test_master_residual_within_budget(phi_name):
     # the check must not be vacuous: the two sides are genuinely nonzero
     assert abs(res.lhs) > 0.01
     assert abs(res.rhs) > 0.01
+
+
+@pytest.mark.parametrize("model_name", ["ou", "mean-revert"])
+def test_master_residual_rhs_mean_square_is_exact(model_name):
+    # d_mu V(t, mu)(y) = 2 e(t)^2 m(mu) at every y and d_v d_mu V = 0, so the
+    # rhs is int 2 e^2 m b dmu: -2 e^2 m^2 under OU (b = -y), and 0 under
+    # mean-revert (e = 1, b = m - y)
+    mu = DiscreteMeasure(np.array([[-1.0], [-0.2], [0.4], [1.1]]),
+                         np.array([0.2, 0.2, 0.3, 0.3]))
+    m = float(mu.weights @ mu.points[:, 0])
+    want = -2.0 * euler_factor(0.25) ** 2 * m ** 2 if model_name == "ou" else 0.0
+    ev = MasterEvaluator(make_functional("mean-square"),
+                         make_model(model_name), m=2000, dt=0.01)
+    res = master_equation_residual(ev, 0.25, mu, seed=37)
+    assert res.rhs == pytest.approx(want, abs=1e-12)
 
 
 def test_master_residual_needs_supported_law():
@@ -467,10 +493,8 @@ def test_covariance_term2_mean_revert_linear_square_exact_euler():
     # V(tau, mu) = m^2 (1 - q) + q M2 + (1 - q)/8 with q = (1 - dt)^(2K) under
     # mean-revert Euler dynamics; integrating the exact d_mu V over the Euler
     # law of X_s with the left-Riemann rule gives these three entries
-    base = make_model("mean-revert")
-    model = MkvModel("mean-revert-half", 1, 1, base.drift, base.diffusion,
-                     SamplerSpec.normal(0.5, 1.0), drift_vjp=base.drift_vjp)
-    res = theoretical_covariance(make_functional("linear-square"), model,
+    res = theoretical_covariance(make_functional("linear-square"),
+                                 mean_revert_half(),
                                  (0.1, 0.2), CovarianceConfig(force=True),
                                  seed=7)
     want = np.array([[0.099275, 0.085750], [0.085750, 0.162284]])
@@ -513,15 +537,21 @@ def test_adjoint_refuses_what_it_cannot_serve():
         with pytest.raises(MeanFieldError, match=msg):
             theoretical_covariance(phi, model, (0.02,), fast_cov_config(),
                                    seed=1)
+        ev = MasterEvaluator(phi, model, m=8)
         with pytest.raises(MeanFieldError, match=msg):
-            master_lderiv(MasterEvaluator(phi, model, m=8), 0.02, nu, 0.4,
-                          seed=1)
+            master_lderiv(ev, 0.02, nu, 0.4, seed=1)
+        with pytest.raises(MeanFieldError, match=msg):
+            master_equation_residual(ev, 0.02, nu, seed=1)
+        with pytest.raises(MeanFieldError, match=msg):
+            theta_second_derivative(ev, 0.02, nu, 0.4, -0.2, seed=1)
 
 
 # Outputs of the nested Monte Carlo estimators.  term1 was recorded before
 # the slot rows were shared between estimators; term2 (so matrix and stderr)
 # was re-recorded when the adjoint replaced the +/-h stencil, whose values
 # here were its eps bias: mean-square at a centred law has d_mu V near 0.
+# mean-revert-half conserves its mean 1/2, so d_mu V = 2 m = 1 and term 2 is
+# min(ti, tj) / 4: a real value, which the centred laws' residues are not.
 # Exact equality: a restructuring of the estimators must not move a bit.
 PINNED_COVARIANCE = {
     "ou": {
@@ -554,13 +584,25 @@ PINNED_COVARIANCE = {
         "term2": [[5.7627608015469244e-09, 2.682077935271922e-08],
                   [2.682077935271922e-08, 5.766902504876492e-07]],
     },
+    "mean-revert-half": {
+        "matrix": [[1.0299999999999998, 1.0300000000000002],
+                   [1.0300000000000005, 1.055000000000001]],
+        "stderr": [[1.222980050563649e-15, 5.568462357885551e-16],
+                   [3.3480163086352377e-16, 5.551115123125783e-16]],
+        "term1": [[1.005, 1.0050000000000003],
+                  [1.0050000000000006, 1.005000000000001]],
+        "term2": [[0.024999999999999994, 0.024999999999999994],
+                  [0.024999999999999994, 0.05000000000000001]],
+    },
 }
 
 
 @pytest.mark.parametrize("model_name", sorted(PINNED_COVARIANCE))
 def test_covariance_pinned_outputs(model_name):
+    model = (mean_revert_half() if model_name == "mean-revert-half"
+             else make_model(model_name))
     res = theoretical_covariance(
-        make_functional("mean-square"), make_model(model_name), (0.1, 0.2),
+        make_functional("mean-square"), model, (0.1, 0.2),
         CovarianceConfig(force=True, inner_m=400, ref_size=800), seed=3)
     for key, want in PINNED_COVARIANCE[model_name].items():
         assert getattr(res, key).tolist() == want, key
@@ -609,9 +651,11 @@ def test_covariance_zero_horizon_is_the_initial_clt():
     assert abs(res.matrix[0, 0] - 1.0) <= 1e-12
 
 
+# rhs comes from the adjoint; for mean-square it is the exact -2 e^2 m(mu)^2
+# (test_master_residual_rhs_mean_square_is_exact), so it carries no eps bias.
 @pytest.mark.parametrize("phi_name, lhs, rhs", [
-    ("linear-mean", -0.16417573880689457, -0.16334248547377606),
-    ("mean-square", -0.05364458183634707, -0.0578930305643669),
+    ("linear-mean", -0.16417573880689457, -0.16334248547382085),
+    ("mean-square", -0.05364458183634707, -0.0533615351215308),
 ])
 def test_master_residual_pinned_outputs(phi_name, lhs, rhs):
     mu = DiscreteMeasure(np.array([[-1.0], [-0.2], [0.4], [1.1]]),
