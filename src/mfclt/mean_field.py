@@ -47,6 +47,7 @@ DEFAULT_EPS = 0.05
 DEFAULT_H = 0.05
 _REF_FACTOR = 10  # reference cloud size = factor * largest particle count
 MAX_TIMES = 8  # time points of one covariance run (cost cap)
+_CHUNK = 10  # N-particle runs integrated as one batch (peak memory vs overhead)
 
 
 class MeanFieldError(ValueError):
@@ -202,7 +203,14 @@ def _integrate(model: MkvModel, points: np.ndarray,
                noise_fn: Callable[[int], np.ndarray],
                snapshot_steps: Sequence[int]) -> np.ndarray:
     """Run the batched integrator to the last of the ascending snapshot_steps;
-    returns the states at those steps as one (K, B, n, d) array."""
+    returns the states at those steps as one (K, B, n, d) array.
+
+    ``noise_fn(k)`` gives the step-k noise: one (n, noise_dim) array shared by
+    every batch row (common random numbers), or a (B, n, noise_dim) array with
+    one block per row.  The result is used before the next call, so it may be
+    a buffer the caller refills.  The state is updated in place, with the
+    operations of x + b dt + sqrt(dt) (sigma xi) in that order.
+    """
     if any(b < a for a, b in zip(snapshot_steps, snapshot_steps[1:])):
         raise MeanFieldError("snapshot steps must be ascending")
     x = np.array(points, dtype=float)
@@ -214,13 +222,16 @@ def _integrate(model: MkvModel, points: np.ndarray,
             mu = BatchEmpirical(x, weights)
             bx = np.asarray(model.drift(x, mu), dtype=float)
             sx = np.asarray(model.diffusion(x, mu), dtype=float)
-            xi = noise_fn(k)  # (n, noise_dim), shared across the batch (CRN)
+            xi = noise_fn(k)
+            # the step is formed before x changes: sx may be a view of x
             if sx.shape[-1] == 1:
-                x = x + bx * dt + root_dt * (sx[..., 0] * xi)
+                step = sx[..., 0] * xi
             else:
-                x = x + bx * dt + root_dt * np.einsum(
-                    "...ij,...j->...i", sx,
-                    np.broadcast_to(xi, x.shape[:-1] + xi.shape[-1:]))
+                step = np.einsum("...ij,...j->...i", sx, np.broadcast_to(
+                    xi, x.shape[:-1] + xi.shape[-1:]))
+            step *= root_dt
+            x += bx * dt
+            x += step
             k += 1
             if not np.all(np.isfinite(x)):
                 raise MeanFieldError(f"non-finite particle state at step {k}")
@@ -246,13 +257,23 @@ def _antithetic_noise(rng: np.random.Generator, n: int, extra: int,
 
 
 def _particle_run(model: MkvModel, n: int, dt: float,
-                  snapshot_steps: Sequence[int], init_rng: np.random.Generator,
-                  noise_rng: np.random.Generator) -> np.ndarray:
-    """(K, n, d) states at snapshot_steps of one N-particle run: i.i.d.
-    initial draws from init_rng, plain Gaussian noise from noise_rng."""
-    x0 = model.initial.sample(init_rng, n)[None]
-    noise = lambda k: noise_rng.standard_normal((n, model.noise_dim))
-    return _integrate(model, x0, None, dt, noise, snapshot_steps)[:, 0]
+                  snapshot_steps: Sequence[int],
+                  rngs: Sequence[tuple[np.random.Generator, np.random.Generator]]
+                  ) -> np.ndarray:
+    """(K, C, n, d) states at snapshot_steps of C independent N-particle runs,
+    integrated as one batch; run c is seeded by rngs[c] = (init_rng,
+    noise_rng).  Each run draws its i.i.d. initial cloud from its init_rng,
+    and at every step its (n, noise_dim) Gaussian noise from its noise_rng,
+    so its states do not depend on C or on the other runs of the batch."""
+    x0 = np.stack([model.initial.sample(init_rng, n) for init_rng, _ in rngs])
+    buf = np.empty((len(rngs), n, model.noise_dim))
+
+    def noise(k: int) -> np.ndarray:
+        for row, (_, noise_rng) in zip(buf, rngs):
+            noise_rng.standard_normal(out=row)
+        return buf
+
+    return _integrate(model, x0, None, dt, noise, snapshot_steps)
 
 
 def simulate_particles(model: MkvModel, n: int, dt: float, t: float,
@@ -262,8 +283,8 @@ def simulate_particles(model: MkvModel, n: int, dt: float, t: float,
         raise MeanFieldError("need at least two particles")
     if dt <= 0 or t < dt:
         raise MeanFieldError("need dt > 0 and T >= dt")
-    return _particle_run(model, n, dt, range(_steps_for(t, dt) + 1),
-                         stream(seed, "particles"), stream(seed, "particles-noise"))
+    rngs = [(stream(seed, "particles"), stream(seed, "particles-noise"))]
+    return _particle_run(model, n, dt, range(_steps_for(t, dt) + 1), rngs)[:, 0]
 
 
 def _stratified_initial(base: object, m: int, rng: np.random.Generator
@@ -275,6 +296,9 @@ def _stratified_initial(base: object, m: int, rng: np.random.Generator
         cum = np.cumsum(law.weights[order])
         idx = np.searchsorted(cum, (np.arange(m) + 0.5) / m, side="left")
         return law.points[order[np.minimum(idx, law.natoms - 1)]]
+    if isinstance(law, Law) and law.dim == 1 and law.spec.kind in (
+            "normal", "uniform"):
+        return np.array(law.proxy_points(m))  # the loop's midpoints, vectorised
     if law.dim == 1 and hasattr(law, "quantile"):
         try:
             return np.asarray(
@@ -350,6 +374,29 @@ def _phi_on_cloud(phi: Functional, cloud: np.ndarray) -> float:
     return evaluate(phi, DiscreteMeasure(cloud))
 
 
+def _phi_of_runs(phi: Functional, model: MkvModel, n: int, dt: float,
+                 snapshot_steps: Sequence[int], r: int,
+                 rngs: Callable[[int], tuple[np.random.Generator,
+                                             np.random.Generator]],
+                 workers: int = 1) -> np.ndarray:
+    """(r, K) values of Phi at the snapshot steps of r independent N-particle
+    runs, run ``rep`` seeded by rngs(rep) = (init_rng, noise_rng).
+
+    Runs are integrated _CHUNK at a time as one batch, and each chunk is one
+    task of map_replications.  Every run draws only from its own streams and
+    Phi is evaluated one cloud at a time, so the values do not depend on the
+    chunking or on ``workers``.
+    """
+    def one_chunk(c: int) -> list[list[float]]:
+        batch = [rngs(rep) for rep in range(c * _CHUNK, min(r, (c + 1) * _CHUNK))]
+        snaps = _particle_run(model, n, dt, snapshot_steps, batch)
+        return [[_phi_on_cloud(phi, cloud) for cloud in snaps[:, b]]
+                for b in range(len(batch))]
+
+    chunks = map_replications(one_chunk, -(-r // _CHUNK), workers)
+    return np.asarray([row for chunk in chunks for row in chunk])
+
+
 def fluctuation_process(phi: Functional, model: MkvModel, n: int,
                         times: Sequence[float], r: int, seed: int,
                         dt: float = DEFAULT_DT, ref_size: int | None = None,
@@ -359,6 +406,9 @@ def fluctuation_process(phi: Functional, model: MkvModel, n: int,
     The limit law is one frozen reference run (size 10 N by default, seed
     tag separated from the particle streams) shared by every replication; its
     sqrt(N)-scaled split-half spread is reported as ref_bias_scaled.
+    Replication ``rep`` draws from the ("fluct-init", rep) and ("fluct-noise",
+    rep) streams.  Replications are integrated in chunks of ten, and the
+    samples are bit for bit the same for any chunking and any ``workers``.
     """
     if n < 1 or r < 3 or (ref_size is not None and ref_size < 3):
         raise MeanFieldError("need n >= 1, r >= 3 and ref_size >= 3")
@@ -375,14 +425,11 @@ def fluctuation_process(phi: Functional, model: MkvModel, n: int,
     snap_steps = [_steps_for(t, dt) for t in times]
     root_n = float(np.sqrt(n))
 
-    def one_rep(rep: int) -> np.ndarray:
-        snaps = _particle_run(model, n, dt, snap_steps,
-                              stream(seed, "fluct-init", rep),
-                              stream(seed, "fluct-noise", rep))
-        values = np.asarray([_phi_on_cloud(phi, cloud) for cloud in snaps])
-        return root_n * (values - ref_values)
-
-    f_samples = np.asarray(map_replications(one_rep, r, workers))
+    values = _phi_of_runs(
+        phi, model, n, dt, snap_steps, r,
+        lambda rep: (stream(seed, "fluct-init", rep),
+                     stream(seed, "fluct-noise", rep)), workers)
+    f_samples = root_n * (values - ref_values)
     f_samples.setflags(write=False)
     cov = empirical_cov(f_samples)
     return FluctuationReport(
@@ -444,7 +491,12 @@ def _even_counts(weights: np.ndarray, m: int) -> np.ndarray:
 
 def _base_cloud(ev: MasterEvaluator, mu: object, seed: int
                 ) -> tuple[np.ndarray, np.ndarray]:
-    """(points (m, d), weights (m,)) representing mu exactly when possible."""
+    """(points (m, d), weights (m,)) representing mu exactly when possible.
+
+    A discrete law keeps each antithetic pair of rows (2j, 2j + 1) on one
+    atom: with 2 natoms <= m every atom is replicated to an even count,
+    otherwise m / 2 stratified atoms are each taken twice.
+    """
     law = as_law(mu)
     m = ev.m
     if isinstance(law, DiscreteMeasure):
@@ -453,11 +505,8 @@ def _base_cloud(ev: MasterEvaluator, mu: object, seed: int
             points = np.repeat(law.points, counts, axis=0)
             weights = np.repeat(law.weights / counts, counts)
             return points, weights
-        if law.natoms <= m:
-            return law.points, law.weights
-        # more atoms than inner particles: deterministic stratified thinning
         rng = stream(seed, "master-cloud-thin")
-        pts = _stratified_initial(law, m, rng)
+        pts = np.repeat(_stratified_initial(law, m // 2, rng), 2, axis=0)
         return pts, np.full(m, 1.0 / m)
     rng = stream(seed, "master-cloud")
     pts = _stratified_initial(law, m, rng)
@@ -944,9 +993,10 @@ def time_regularity_probe(phi: Functional, model: MkvModel, t1: float,
                           ) -> ProbeReport:
     """Slope in N of E|(V(t2, mu0^N) - V(t2, nu)) - (V(t1, mu0^N) - V(t1, nu))|^4.
 
-    The N initial atoms are used directly as the inner cloud (one CRN run per
-    replication, snapshot at t1); the limit values come from one big
-    stratified antithetic reference.  The fourth moment should fall like N^-2.
+    Each of the r replications at each N is one N-particle run from i.i.d.
+    initial atoms, snapshotted at t1 and t2 (runs integrated in chunks, as in
+    fluctuation_process); the limit values come from one big stratified
+    antithetic reference.  The fourth moment should fall like N^-2.
     """
     if not 0 < t1 < t2:
         raise MeanFieldError("need 0 < t1 < t2")
@@ -959,14 +1009,13 @@ def time_regularity_probe(phi: Functional, model: MkvModel, t1: float,
     snap_steps = (_steps_for(t1, DEFAULT_DT), _steps_for(t2, DEFAULT_DT))
     values = []
     for n in grid:
+        runs = _phi_of_runs(
+            phi, model, n, DEFAULT_DT, snap_steps, r,
+            lambda rep: (stream(seed, "time-reg-init", n, rep),
+                         stream(seed, "time-reg-noise", n, rep)))
         acc = 0.0
-        for rep in range(r):
-            at1, at2 = _particle_run(model, n, DEFAULT_DT, snap_steps,
-                                     stream(seed, "time-reg-init", n, rep),
-                                     stream(seed, "time-reg-noise", n, rep))
-            d2 = _phi_on_cloud(phi, at2) - ref2
-            d1 = _phi_on_cloud(phi, at1) - ref1
-            acc += (d2 - d1) ** 4
+        for v1, v2 in runs.tolist():
+            acc += ((v2 - ref2) - (v1 - ref1)) ** 4
         values.append(acc / r)
     fit = loglog_slope(np.asarray(grid, dtype=float), np.asarray(values))
     return ProbeReport(grid, tuple(values), fit.slope, fit.r2)

@@ -32,8 +32,9 @@ def stream(seed: int, *tags: object) -> np.random.Generator:
 def map_replications(fn: Callable[[int], object], r: int, workers: int) -> list:
     """[fn(0), ..., fn(r - 1)], on a pool of ``workers`` threads when > 1.
 
-    Replication ``rep`` must draw only from streams keyed by ``rep``; the list
-    is then the same for every worker count.
+    Task ``i`` (one replication, or one chunk of them) must draw only from
+    streams keyed by its own replications; the list is then the same for
+    every worker count.
     """
     if workers <= 1:
         return [fn(rep) for rep in range(r)]

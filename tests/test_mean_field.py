@@ -217,6 +217,65 @@ def test_fluctuation_report_shapes_and_determinism():
     assert rep1.sigma_empirical.shape == (2, 2)
 
 
+def one_run_at_a_time(model, n, dt, snap_steps, init_rng, noise_rng):
+    """The N-particle Euler run of one replication on its own, as a loop:
+    the reference the chunked driver must reproduce bit for bit."""
+    x = model.initial.sample(init_rng, n)[None]
+    root_dt, clouds = np.sqrt(dt), []
+    for k in range(snap_steps[-1] + 1):
+        clouds += [x[0]] * snap_steps.count(k)
+        if k < snap_steps[-1]:
+            mu = BatchEmpirical(x)
+            xi = noise_rng.standard_normal((n, model.noise_dim))
+            x = (x + model.drift(x, mu) * dt
+                 + root_dt * (model.diffusion(x, mu)[..., 0] * xi))
+    return clouds
+
+
+@pytest.mark.parametrize("model_name", ["ou", "mean-revert", "bounded-sine"])
+def test_fluctuation_chunks_equal_one_run_at_a_time(model_name):
+    # r = 23 is two full chunks of ten and a partial one
+    model, phi = make_model(model_name), make_functional("mean-square")
+    n, times, r, seed = 30, (0.05, 0.1), 23, 47
+    _, ref = simulate_limit_reference(model, 10 * n, 0.01, times[-1], seed,
+                                      snapshot_times=times)
+    ref_values = np.asarray([mean_field._phi_on_cloud(phi, ref[t])
+                             for t in times])
+    want = []
+    for rep in range(r):
+        clouds = one_run_at_a_time(model, n, 0.01, [5, 10],
+                                   stream(seed, "fluct-init", rep),
+                                   stream(seed, "fluct-noise", rep))
+        values = np.asarray([mean_field._phi_on_cloud(phi, c) for c in clouds])
+        want.append(float(np.sqrt(n)) * (values - ref_values))
+    for workers in (1, 3):
+        got = fluctuation_process(phi, model, n, times, r, seed, workers=workers)
+        assert got.f_samples.tolist() == np.asarray(want).tolist(), workers
+
+
+@pytest.mark.parametrize("model_name", ["ou", "mean-revert", "bounded-sine"])
+def test_time_regularity_chunks_equal_one_run_at_a_time(model_name):
+    model, seed, r = make_model(model_name), 49, 23
+    _, ref = simulate_limit_reference(model, 10 * 20, 0.01, 0.1, seed,
+                                      snapshot_times=(0.05, 0.1))
+    ref1, ref2 = (mean_field._phi_on_cloud(LINEAR_MEAN, ref[t])
+                  for t in (0.05, 0.1))
+    want = []
+    for n in (10, 20):
+        acc = 0.0
+        for rep in range(r):
+            at1, at2 = one_run_at_a_time(model, n, 0.01, [5, 10],
+                                         stream(seed, "time-reg-init", n, rep),
+                                         stream(seed, "time-reg-noise", n, rep))
+            d2 = mean_field._phi_on_cloud(LINEAR_MEAN, at2) - ref2
+            d1 = mean_field._phi_on_cloud(LINEAR_MEAN, at1) - ref1
+            acc += (d2 - d1) ** 4
+        want.append(acc / r)
+    probe = time_regularity_probe(LINEAR_MEAN, model, 0.05, 0.1, (10, 20), r,
+                                  seed)
+    assert probe.values == tuple(want)
+
+
 @pytest.mark.parametrize("kw", [dict(r=2), dict(n=0), dict(ref_size=2)])
 def test_fluctuation_rejects_too_small_runs(kw):
     args = {"n": 20, "times": (0.1,), "r": 5, "seed": 1, **kw}
@@ -251,6 +310,25 @@ def test_master_lfd_linear_ou_is_discounted_identity():
     for y in (0.7, -1.2):
         got = master_lfd(ev, 0.5, nu, y, seed=17)
         assert got == pytest.approx(euler_factor(0.5) * y, abs=1e-10)
+
+
+@pytest.mark.parametrize("atoms, weights", [
+    ([-1.0, -0.3, 0.2, 0.9, 1.6], None),  # odd count: once raised
+    ([-1.0, -0.3, 0.2, 0.9, 1.6, 2.4], [0.3, 0.1, 0.1, 0.2, 0.1, 0.2]),
+])
+def test_master_cloud_of_many_atoms_keeps_pairs_on_one_point(atoms, weights):
+    # more atoms than m / 2: the cloud is thinned, and each antithetic pair
+    # sits on one point, so under OU x linear-mean the noise of every pair
+    # cancels and V is the Euler factor times the cloud's mean
+    nu = DiscreteMeasure(np.array(atoms)[:, None],
+                         None if weights is None else np.array(weights))
+    ev = MasterEvaluator(LINEAR_MEAN, make_model("ou"), m=8, dt=0.01)
+    pts, base_w = _base_cloud(ev, nu, seed=51)
+    assert pts.shape == (8, 1)
+    assert np.array_equal(pts[0::2], pts[1::2])
+    assert np.array_equal(base_w[0::2], base_w[1::2])
+    want = euler_factor(0.25) * float(base_w @ pts[:, 0])
+    assert master_value(ev, 0.25, nu, seed=51) == pytest.approx(want, abs=1e-12)
 
 
 def test_master_lderiv_linear_ou_is_euler_factor():
