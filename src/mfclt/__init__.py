@@ -32,6 +32,7 @@ from .functionals import (
     evaluate,
     finite_difference_identity_check,
     gateaux_numeric,
+    gateaux_probe_eps,
     growth_class_check,
     lfd,
     make_functional,
@@ -70,6 +71,7 @@ from .measures import (
     MeasureError,
     MetricKind,
     distance,
+    distances,
     interpolate,
     lp_wasserstein,
     metric_axiom_suite,

@@ -690,6 +690,24 @@ def gateaux_numeric(u: Functional, mu: object, nu: object,
     raise FunctionalError("richardson level must be 0, 1 or 2")
 
 
+def gateaux_probe_eps(u: Functional, mu: object, nu: object, eps: float) -> float:
+    """``eps`` capped so that ``gateaux_numeric``'s slopes stay inside the
+    domain of u's derivative formula.
+
+    Only the quantile has such a limit.  Mixing in s nu moves the level-v
+    quantile q of a law with a density by at most s max(v, 1 - v) / pdf(q)
+    to first order; once it reaches an atom of a discrete nu the slope jumps.
+    So eps is capped at half the mass that would carry q to nu's nearest
+    atom.  Every other functional, or a nu without atoms, keeps eps.
+    """
+    pdf = getattr(mu, "pdf", None)
+    if not isinstance(u, Quantile) or not isinstance(nu, DiscreteMeasure) or pdf is None:
+        return eps
+    q = float(mu.quantile(u.v))
+    dist = float(np.min(np.abs(nu.points[:, 0] - q)))
+    return min(eps, dist * float(pdf(q)) / (2.0 * max(u.v, 1.0 - u.v)))
+
+
 def finite_difference_identity_check(u: Functional, m: object, m2: object,
                                      quad_points: int = 8) -> float:
     """|U(m2) - U(m) - int_0^1 int dU/dm((1-s)m + s m2, y) (m2 - m)(dy) ds|.

@@ -1000,7 +1000,11 @@ def time_regularity_probe(phi: Functional, model: MkvModel, t1: float,
     """
     if not 0 < t1 < t2:
         raise MeanFieldError("need 0 < t1 < t2")
+    if r < 1:
+        raise MeanFieldError("need at least one replication")
     grid = tuple(int(n) for n in n_grid)
+    if not grid or min(grid) < 1:
+        raise MeanFieldError("n_grid needs at least one size, each >= 1")
     m_ref = _REF_FACTOR * max(grid)
     _, ref_clouds = simulate_limit_reference(model, m_ref, DEFAULT_DT, t2, seed,
                                              snapshot_times=(t1, t2))

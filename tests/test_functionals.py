@@ -21,6 +21,7 @@ from mfclt.functionals import (
     evaluate,
     finite_difference_identity_check,
     gateaux_numeric,
+    gateaux_probe_eps,
     growth_class_check,
     lfd,
     make_functional,
@@ -263,6 +264,38 @@ def test_symbolic_matches_numeric_gateaux(name):
         sym = derivative_pairing(lfd(u, 1), mu, nu)
         worst = max(worst, abs(num - sym) / (1.0 + abs(sym)))
     assert worst < 1e-6, worst
+
+
+def test_quantile_probe_eps_keeps_slopes_inside_the_formula():
+    # the seed-8 `derivcheck` probe: nu has an atom 2.9e-4 from mu's median,
+    # and the eps = 1e-3 slopes carry the mixture's median across it
+    u = make_functional("quantile:0.5")
+    mu = as_law(SamplerSpec.normal(-0.46618397210216167, 1.0))
+    nu = DiscreteMeasure(np.array([[0.09172354563142149], [0.1907994267877533],
+                                   [-0.465899079988161]]))
+    sym = derivative_pairing(lfd(u, 1), mu, nu)
+
+    def gap(eps):
+        num = gateaux_numeric(u, mu, nu, eps=eps, richardson=2)
+        return abs(num - sym) / (1.0 + abs(sym))
+
+    eps = gateaux_probe_eps(u, mu, nu, 1e-3)
+    dist = -0.465899079988161 - -0.46618397210216167
+    assert eps == pytest.approx(dist * float(mu.pdf(mu.quantile(0.5))), rel=1e-12)
+    assert gap(1e-3) > 0.3
+    assert gap(eps) < 1e-6
+
+
+def test_probe_eps_is_kept_away_from_quantile_atoms():
+    rng = stream(46, "probe-eps")
+    mu = rand_measure(rng)
+    nu = rand_measure(rng, k=3)
+    law = as_law(SamplerSpec.normal(0.0, 1.0))
+    far = DiscreteMeasure(np.array([[2.0], [-3.0]]))
+    assert gateaux_probe_eps(make_functional("mean-square"), mu, nu, 1e-3) == 1e-3
+    assert gateaux_probe_eps(make_functional("quantile:0.5"), law, far, 1e-3) == 1e-3
+    assert gateaux_probe_eps(make_functional("quantile:0.5"), law,
+                             as_law(SamplerSpec.normal(0.0, 1.0)), 1e-3) == 1e-3
 
 
 def test_richardson_levels_tighten_the_slope():

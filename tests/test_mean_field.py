@@ -720,6 +720,13 @@ def test_particle_drivers_pinned_outputs():
     assert probe.values == (0.00012924906687350056, 2.8942699655682235e-05)
 
 
+@pytest.mark.parametrize("n_grid,r", [((10, 20), 0), ((), 3), ((0, 20), 3)])
+def test_time_regularity_probe_rejects_empty_work(n_grid, r):
+    with pytest.raises(MeanFieldError):
+        time_regularity_probe(LINEAR_MEAN, make_model("ou"), 0.05, 0.1,
+                              n_grid, r, seed=1)
+
+
 def test_covariance_zero_horizon_is_the_initial_clt():
     # at t = 0 the time-evolution term integrates over [0, 0], and the
     # initialisation term of linear-mean under N(0, 1) is Var N(0, 1) = 1

@@ -3,18 +3,25 @@
 The d = 1 quantile-coupling route is validated against the exact LP on small
 supports; metric axioms run as randomized property checks.
 """
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mfclt
 from mfclt.measures import (
     DiscreteMeasure,
     MeasureError,
     MetricKind,
-    _lp_transport_cost,
+    _lp_transport_costs,
     _pairwise_abs_diff,
+    _lp_problem,
     distance,
+    distances,
     metric_axiom_suite,
     tv_wasserstein_inequality_check,
     weighted_variation_integral,
@@ -110,9 +117,57 @@ def test_quantile_route_matches_lp_oracle():
         ell = float(rng.uniform(1.0, 3.0))
         fast = distance(mu, nu, MetricKind.wasserstein(ell))
         cost = _pairwise_abs_diff(mu, nu) ** ell
-        slow = _lp_transport_cost(cost, mu.weights, nu.weights) ** (1.0 / ell)
+        slow = _lp_transport_costs([(cost, mu.weights, nu.weights)])[0] ** (1.0 / ell)
         worst = max(worst, abs(fast - slow))
     assert worst < 1e-9
+
+
+def _mixed_lp_items(rng, count):
+    """LP-route (mu, nu, kind) items: one-atom sides, d = 1 and 2, W_0.5,
+    W_2 and the bounded Wasserstein distance."""
+    kinds = [MetricKind.wasserstein(0.5), MetricKind.wasserstein(2.0),
+             MetricKind.bounded_wasserstein()]
+    items = []
+    for k in range(count):
+        dim = 1 + k % 2
+        kind = kinds[k % 3]
+        if kind.tag == "wasserstein" and kind.ell >= 1.0 and dim == 1:
+            dim = 2
+        max_atoms = 1 if k % 7 == 0 else 6
+        items.append((small_measure(rng, max_atoms, dim),
+                      small_measure(rng, 6, dim), kind))
+    return items
+
+
+@pytest.mark.parametrize("size", [1, 100, 101, 250])
+def test_batched_lp_costs_equal_one_lp_per_problem(size):
+    items = _mixed_lp_items(stream(24, "lp-batch"), 250)[:size]
+    problems = [_lp_problem(mu, nu, kind, 512)[0] for mu, nu, kind in items]
+    one_by_one = [_lp_transport_costs([p])[0] for p in problems]
+    batched = _lp_transport_costs(problems)
+    assert len(batched) == size
+    assert np.max(np.abs(np.subtract(batched, one_by_one))) <= 1e-12
+    assert distances(items) == pytest.approx(
+        [distance(mu, nu, kind) for mu, nu, kind in items], abs=1e-12, rel=0)
+
+
+def test_batched_distance_to_a_shuffled_copy_vanishes():
+    rng = stream(25, "lp-self")
+    items = []
+    for mu, _, kind in _mixed_lp_items(rng, 150):
+        perm = rng.permutation(mu.natoms)
+        items.append((mu, DiscreteMeasure(mu.points[perm], mu.weights[perm]), kind))
+    assert all(d <= 1e-10 for d in distances(items))
+
+
+def test_importing_the_cli_leaves_the_lp_solver_unloaded():
+    code = "import sys, mfclt.cli; print('scipy.optimize' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(mfclt.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env)
+    assert out.stdout.strip() == "False"
 
 
 def test_lp_route_used_for_d2():
@@ -167,10 +222,11 @@ def test_axiom_suite_counts_triples():
 
 def test_tv_wasserstein_inequality_random_pairs():
     rng = stream(33, "ineq")
+    pairs = []
     for _ in range(300):
         mu, nu = small_measure(rng), small_measure(rng)
-        ell = float(rng.uniform(0.3, 2.5))
-        assert tv_wasserstein_inequality_check(mu, nu, ell)
+        pairs.append((mu, nu, float(rng.uniform(0.3, 2.5))))
+    assert all(tv_wasserstein_inequality_check(pairs))
 
 
 @settings(max_examples=60, deadline=None)
