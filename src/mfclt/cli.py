@@ -106,8 +106,8 @@ class ExperimentConfig:
             problems.append(f"unknown kind {self.kind!r}")
         if self.n <= 0 or self.reps <= 0 or self.quad_points <= 0:
             problems.append("n, reps, quad_points must be positive")
-        if self.dt <= 0:
-            problems.append("dt must be positive")
+        if not (np.isfinite(self.dt) and self.dt > 0):
+            problems.append("dt must be finite and positive")
         if self.workers <= 0:
             problems.append("workers must be positive")
         if self.probes <= 0:
@@ -124,7 +124,7 @@ class ExperimentConfig:
             problems.append("times must be strictly increasing")
         if self.kind == "meanfield" and not 1 <= len(self.times) <= MAX_TIMES:
             problems.append(f"between 1 and {MAX_TIMES} time points (cost cap)")
-        if self.kind == "meanfield" and self.dt > 0:
+        if self.kind == "meanfield":
             for t in self.times:
                 try:
                     _steps_for(t, self.dt)
@@ -188,19 +188,26 @@ def _read_ini(path: str) -> dict:
     if not parser.read(path):
         raise ConfigError(f"config file {path!r} not found or unreadable")
     out: dict = {}
+
+    def parsed(key: str, convert, arg: str):
+        try:
+            return convert(arg)
+        except ValueError as exc:
+            raise ConfigError(f"config key {key!r}: {exc}") from exc
+
     exp = parser["experiment"] if parser.has_section("experiment") else {}
     for key in ("kind", "functional", "phi"):
         if key in exp:
             out[key] = exp[key]
     for key in ("seed", "n", "reps", "quad_points", "workers", "ref_size", "probes"):
         if key in exp:
-            out[key] = int(exp[key])
+            out[key] = parsed(key, int, exp[key])
     if "dt" in exp:
-        out["dt"] = float(exp["dt"])
+        out["dt"] = parsed("dt", float, exp["dt"])
     if "times" in exp:
-        out["times"] = _floats(exp["times"])
+        out["times"] = parsed("times", _floats, exp["times"])
     if "n_grid" in exp:
-        out["n_grid"] = _ints(exp["n_grid"])
+        out["n_grid"] = parsed("n_grid", _ints, exp["n_grid"])
     if parser.has_section("law") and "spec" in parser["law"]:
         out["law"] = parser["law"]["spec"]
     if parser.has_section("model"):
@@ -210,7 +217,7 @@ def _read_ini(path: str) -> dict:
         if "phi" in sec:
             out["phi"] = sec["phi"]
         if "force" in sec:
-            out["force"] = sec.getboolean("force")
+            out["force"] = parsed("force", sec.getboolean, "force")
     if parser.has_section("output"):
         sec = parser["output"]
         if "json" in sec:

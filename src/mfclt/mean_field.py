@@ -1,8 +1,10 @@
 """Interacting particles, their mean-field limit, and the fluctuation CLT.
 
 The particle system is the Euler-Maruyama discretization of
-Y_{k+1} = Y_k + b(Y_k, mu^N_k) dt + sigma(Y_k, mu^N_k) sqrt(dt) xi_k with
-mu^N_k the current (possibly weighted) empirical measure.  On top of the
+Y_{k+1} = Y_k + b(Y_k, mu^N_k) dt + sigma sqrt(dt) xi_k with mu^N_k the
+current (possibly weighted) empirical measure, sigma a constant and xi_k
+standard normal in R^d: the diffusion is sigma I_d, one independent Brownian
+motion per coordinate, so a = sigma sigma^T = sigma^2 I_d.  On top of the
 integrator sit:
 
 * a frozen high-M reference run standing in for the limit law mu_t (variance
@@ -88,12 +90,14 @@ class BatchEmpirical:
 class MkvModel:
     """McKean-Vlasov coefficients plus their initial law.
 
-    ``drift(x, mu) -> like x`` and ``diffusion(x, mu) -> x.shape + (noise_dim,)``
-    must be vectorized over (B, n, d) point tensors with ``mu`` the matching
-    BatchEmpirical.  ``flags`` may contain "is_dirac_initial" and
-    "claims_bounded_coeffs"; they gate the covariance estimator.  Lipschitz
-    continuity is the constructor's contract, spot-checked on probes.
-    a(x, mu) = sigma sigma^T is positive semidefinite by construction.
+    ``drift(x, mu) -> like x`` must be vectorized over (B, n, d) point tensors
+    with ``mu`` the matching BatchEmpirical.  The diffusion is ``sigma`` I_d,
+    with d = ``initial.dim``: each coordinate has its own Brownian motion of
+    constant scale sigma, so a = sigma^2 I_d.  It is constant because the
+    adjoint differentiates the drift only.  ``flags`` may contain
+    "is_dirac_initial" and "claims_bounded_coeffs"; they gate the covariance
+    estimator.  Lipschitz continuity of the drift is the constructor's
+    contract, spot-checked on probes.
 
     ``drift_vjp(x, mu, rho) -> like x`` is the drift's vector-Jacobian product
     per unit mass: with mu = sum_l w_l delta_{x_l} and cotangents rho_l, row j
@@ -103,14 +107,16 @@ class MkvModel:
     """
 
     name: str
-    dim: int
-    noise_dim: int
     drift: Callable[[np.ndarray, BatchEmpirical], np.ndarray]
-    diffusion: Callable[[np.ndarray, BatchEmpirical], np.ndarray]
+    sigma: float
     initial: SamplerSpec
     flags: frozenset = frozenset()
     drift_vjp: Callable[[np.ndarray, BatchEmpirical, np.ndarray],
                         np.ndarray] | None = None
+
+    @property
+    def dim(self) -> int:
+        return self.initial.dim
 
 
 def _lipschitz_spot_check(model: MkvModel, cap: float = 1e6) -> None:
@@ -118,15 +124,14 @@ def _lipschitz_spot_check(model: MkvModel, cap: float = 1e6) -> None:
     x = rng.normal(size=(1, 6, model.dim))
     dx = 1e-3 * rng.normal(size=x.shape)
     mu = BatchEmpirical(x)
-    for f in (model.drift, model.diffusion):
-        a = np.asarray(f(x, mu), dtype=float)
-        b = np.asarray(f(x + dx, mu), dtype=float)
-        num = float(np.max(np.abs(b - a)))
-        den = float(np.max(np.abs(dx)))
-        if num > cap * den:
-            raise MeanFieldError(
-                f"model {model.name!r}: coefficient jump {num:.2e} over step "
-                f"{den:.2e} fails the Lipschitz spot check")
+    a = np.asarray(model.drift(x, mu), dtype=float)
+    b = np.asarray(model.drift(x + dx, mu), dtype=float)
+    num = float(np.max(np.abs(b - a)))
+    den = float(np.max(np.abs(dx)))
+    if num > cap * den:
+        raise MeanFieldError(
+            f"model {model.name!r}: drift jump {num:.2e} over step "
+            f"{den:.2e} fails the Lipschitz spot check")
 
 
 def _ou_drift(x, mu):
@@ -137,20 +142,12 @@ def _ou_vjp(x, mu, rho):
     return -rho
 
 
-def _unit_diffusion(x, mu):
-    return np.ones(x.shape + (1,))
-
-
 def _mean_revert_drift(x, mu):
     return mu.mean() - x
 
 
 def _mean_revert_vjp(x, mu, rho):
     return BatchEmpirical(rho, mu.weights).mean() - rho
-
-
-def _half_diffusion(x, mu):
-    return np.full(x.shape + (1,), 0.5)
 
 
 def _sine_drift(x, mu):
@@ -165,15 +162,13 @@ def _sine_vjp(x, mu, rho):
 def make_model(name: str) -> MkvModel:
     """Built-in d = 1 models: ``ou``, ``mean-revert``, ``bounded-sine``."""
     if name == "ou":
-        model = MkvModel("ou", 1, 1, _ou_drift, _unit_diffusion,
-                         SamplerSpec.normal(), drift_vjp=_ou_vjp)
+        model = MkvModel("ou", _ou_drift, 1.0, SamplerSpec.normal(),
+                         drift_vjp=_ou_vjp)
     elif name == "mean-revert":
-        model = MkvModel("mean-revert", 1, 1, _mean_revert_drift,
-                         _half_diffusion, SamplerSpec.normal(),
-                         drift_vjp=_mean_revert_vjp)
+        model = MkvModel("mean-revert", _mean_revert_drift, 0.5,
+                         SamplerSpec.normal(), drift_vjp=_mean_revert_vjp)
     elif name == "bounded-sine":
-        model = MkvModel("bounded-sine", 1, 1, _sine_drift, _unit_diffusion,
-                         SamplerSpec.normal(),
+        model = MkvModel("bounded-sine", _sine_drift, 1.0, SamplerSpec.normal(),
                          flags=frozenset({"claims_bounded_coeffs"}),
                          drift_vjp=_sine_vjp)
     else:
@@ -192,6 +187,9 @@ def model_names() -> list[str]:
 
 
 def _steps_for(t: float, dt: float) -> int:
+    if not (dt > 0 and np.isfinite(dt) and np.isfinite(t / dt)):
+        raise MeanFieldError(
+            f"time {t} with step dt={dt}: both must be finite, with dt > 0")
     k = int(round(t / dt))
     if k < 0 or abs(k * dt - t) > 1e-9 * max(1.0, abs(t)):
         raise MeanFieldError(f"time {t} is negative or not on the dt={dt} grid")
@@ -205,11 +203,11 @@ def _integrate(model: MkvModel, points: np.ndarray,
     """Run the batched integrator to the last of the ascending snapshot_steps;
     returns the states at those steps as one (K, B, n, d) array.
 
-    ``noise_fn(k)`` gives the step-k noise: one (n, noise_dim) array shared by
-    every batch row (common random numbers), or a (B, n, noise_dim) array with
-    one block per row.  The result is used before the next call, so it may be
-    a buffer the caller refills.  The state is updated in place, with the
-    operations of x + b dt + sqrt(dt) (sigma xi) in that order.
+    ``noise_fn(k)`` gives the step-k standard normal noise: one (n, d) array
+    shared by every batch row (common random numbers), or a (B, n, d) array
+    with one block per row.  The result is used before the next call, so it
+    may be a buffer the caller refills.  The state is updated in place, with
+    the operations of x + b dt + sqrt(dt) (sigma xi) in that order.
     """
     if any(b < a for a, b in zip(snapshot_steps, snapshot_steps[1:])):
         raise MeanFieldError("snapshot steps must be ascending")
@@ -221,14 +219,7 @@ def _integrate(model: MkvModel, points: np.ndarray,
         while k < stop:
             mu = BatchEmpirical(x, weights)
             bx = np.asarray(model.drift(x, mu), dtype=float)
-            sx = np.asarray(model.diffusion(x, mu), dtype=float)
-            xi = noise_fn(k)
-            # the step is formed before x changes: sx may be a view of x
-            if sx.shape[-1] == 1:
-                step = sx[..., 0] * xi
-            else:
-                step = np.einsum("...ij,...j->...i", sx, np.broadcast_to(
-                    xi, x.shape[:-1] + xi.shape[-1:]))
+            step = model.sigma * noise_fn(k)
             step *= root_dt
             x += bx * dt
             x += step
@@ -239,16 +230,15 @@ def _integrate(model: MkvModel, points: np.ndarray,
     return snaps
 
 
-def _antithetic_noise(rng: np.random.Generator, n: int, extra: int,
-                      d_noise: int) -> Callable[[int], np.ndarray]:
-    """Interleaved +/- pairs over all rows (n and extra even)."""
-    if n % 2 or extra % 2:
-        raise MeanFieldError("antithetic noise needs even row counts")
-    total = n + extra
+def _antithetic_noise(rng: np.random.Generator, n: int, d: int
+                      ) -> Callable[[int], np.ndarray]:
+    """(n, d) noise of interleaved +/- row pairs (n even)."""
+    if n % 2:
+        raise MeanFieldError("antithetic noise needs an even row count")
 
     def draw(k: int) -> np.ndarray:
-        g = rng.standard_normal((total // 2, d_noise))
-        out = np.empty((total, d_noise))
+        g = rng.standard_normal((n // 2, d))
+        out = np.empty((n, d))
         out[0::2] = g
         out[1::2] = -g
         return out
@@ -263,10 +253,10 @@ def _particle_run(model: MkvModel, n: int, dt: float,
     """(K, C, n, d) states at snapshot_steps of C independent N-particle runs,
     integrated as one batch; run c is seeded by rngs[c] = (init_rng,
     noise_rng).  Each run draws its i.i.d. initial cloud from its init_rng,
-    and at every step its (n, noise_dim) Gaussian noise from its noise_rng,
+    and at every step its (n, d) Gaussian noise from its noise_rng,
     so its states do not depend on C or on the other runs of the batch."""
     x0 = np.stack([model.initial.sample(init_rng, n) for init_rng, _ in rngs])
-    buf = np.empty((len(rngs), n, model.noise_dim))
+    buf = np.empty((len(rngs), n, model.dim))
 
     def noise(k: int) -> np.ndarray:
         for row, (_, noise_rng) in zip(buf, rngs):
@@ -330,8 +320,7 @@ def simulate_limit_reference(model: MkvModel, m: int, dt: float, t: float,
     grid = sorted({*snap_steps, steps})
     rng = stream(seed, "reference-init")
     x0 = _stratified_initial(model.initial, m, rng)[None]
-    noise = _antithetic_noise(stream(seed, "reference-noise"), m, 0,
-                              model.noise_dim)
+    noise = _antithetic_noise(stream(seed, "reference-noise"), m, model.dim)
     snaps = _integrate(model, x0, None, dt, noise, grid)[:, 0]
     clouds = {s: snaps[grid.index(k)] for s, k in zip(snapshot_times, snap_steps)}
     return snaps[grid.index(steps)], clouds
@@ -531,10 +520,10 @@ def _phi_batch(phi: Functional, points: np.ndarray, weights: np.ndarray
     return out.reshape(k, b)
 
 
-def _master_noise(seed: int, n: int, d_noise: int) -> Callable[[int], np.ndarray]:
+def _master_noise(seed: int, n: int, d: int) -> Callable[[int], np.ndarray]:
     """The antithetic noise stream every master-function run of one seed
     shares (n rows, +/- pairs 2j and 2j + 1)."""
-    return _antithetic_noise(stream(seed, "master-noise"), n, 0, d_noise)
+    return _antithetic_noise(stream(seed, "master-noise"), n, d)
 
 
 def _slot_values(ev: MasterEvaluator, steps: Sequence[int], pts: np.ndarray,
@@ -556,7 +545,7 @@ def _slot_values(ev: MasterEvaluator, steps: Sequence[int], pts: np.ndarray,
     weights = np.zeros((len(ys), n + 4))
     weights[:, :n] = (1.0 - eps) * base_w
     weights[:, n + 2:] = eps / 2.0
-    noise = _master_noise(seed, n + 4, ev.model.noise_dim)
+    noise = _master_noise(seed, n + 4, d)
     return _phi_batch(ev.phi, _integrate(ev.model, points, weights, ev.dt,
                                          noise, steps), weights)
 
@@ -573,25 +562,10 @@ def _adjoint_moment_form(phi: Functional) -> MomentForm:
     return mf
 
 
-def _constant_diffusion(model: MkvModel) -> np.ndarray:
-    """The (d, noise_dim) diffusion matrix of a model the adjoint can serve.
-
-    The backward pass differentiates the drift only, so the diffusion must
-    depend on neither x nor mu (spot-checked on two probe clouds) and the
-    model must carry a drift VJP."""
+def _require_drift_vjp(model: MkvModel) -> None:
     if model.drift_vjp is None:
-        raise MeanFieldError(
-            f"model {model.name!r} has no drift VJP, which the adjoint "
-            "L-derivative needs")
-    x = np.linspace(-1.5, 2.0, 6 * model.dim).reshape(1, 6, model.dim)
-    sx = [np.asarray(model.diffusion(p, BatchEmpirical(p)), dtype=float)
-          for p in (x, 3.0 * x + 1.0)]
-    sigma = sx[0][0, 0]
-    if not all(np.array_equal(v, np.broadcast_to(sigma, v.shape)) for v in sx):
-        raise MeanFieldError(
-            f"model {model.name!r}: the adjoint L-derivative needs a diffusion "
-            "that depends on neither x nor mu")
-    return sigma
+        raise MeanFieldError(f"model {model.name!r} has no drift VJP, which "
+                             "the adjoint L-derivative needs")
 
 
 def _adjoint_lderiv(ev: MasterEvaluator, steps: Sequence[int], pts: np.ndarray,
@@ -611,7 +585,7 @@ def _adjoint_lderiv(ev: MasterEvaluator, steps: Sequence[int], pts: np.ndarray,
     """
     model = ev.model
     mf = _adjoint_moment_form(ev.phi)
-    _constant_diffusion(model)
+    _require_drift_vjp(model)
     states = _integrate(model, pts[None], weights, ev.dt, noise,
                         range(steps[-1] + 1))[:, 0]
     rho = np.zeros((len(steps),) + pts.shape)
@@ -638,7 +612,7 @@ def _lderiv_at(ev: MasterEvaluator, steps: Sequence[int], pts: np.ndarray,
     noise; test particles do not act on the cloud, so nearby ys stay coupled.
     """
     n, p = len(pts), len(ys)
-    draw = _master_noise(seed, n + 2, ev.model.noise_dim)
+    draw = _master_noise(seed, n + 2, ev.model.dim)
 
     def noise(k: int) -> np.ndarray:
         xi = draw(k)
@@ -661,8 +635,7 @@ def master_value(ev: MasterEvaluator, t: float, mu: object, seed: int) -> float:
 
 
 def master_lfd_batch(ev: MasterEvaluator, times: Sequence[float], nu: object,
-                     ys: np.ndarray, seed: int,
-                     richardson: bool = False) -> np.ndarray:
+                     ys: np.ndarray, seed: int) -> np.ndarray:
     """dV/dm(t, nu, y) at each ascending time t and each row y, (K, P):
     [V((1-eps)nu + eps delta_y) - V((1-eps)nu + eps delta_0)] / eps,
     CRN-coupled (normalization built in), every time from one run."""
@@ -671,22 +644,14 @@ def master_lfd_batch(ev: MasterEvaluator, times: Sequence[float], nu: object,
     steps = [_steps_for(t, ev.dt) for t in times]
     pts, base_w = _base_cloud(ev, law, seed)
     rows = np.vstack([np.zeros((1, ys.shape[1])), ys])  # baseline y = 0 first
-
-    def at_eps(eps: float) -> np.ndarray:
-        vals = _slot_values(ev, steps, pts, base_w, rows, eps, seed)
-        return (vals[:, 1:] - vals[:, :1]) / eps
-
-    out = at_eps(ev.eps)
-    if richardson:
-        out = 2.0 * at_eps(ev.eps / 2) - out
-    return out
+    vals = _slot_values(ev, steps, pts, base_w, rows, ev.eps, seed)
+    return (vals[:, 1:] - vals[:, :1]) / ev.eps
 
 
 def master_lfd(ev: MasterEvaluator, t: float, nu: object, y: object,
-               seed: int, richardson: bool = False) -> float:
+               seed: int) -> float:
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    return float(master_lfd_batch(ev, (t,), nu, y[None], seed,
-                                  richardson=richardson)[0, 0])
+    return float(master_lfd_batch(ev, (t,), nu, y[None], seed)[0, 0])
 
 
 def master_lderiv(ev: MasterEvaluator, t: float, nu: object, y: object,
@@ -808,16 +773,16 @@ def theoretical_covariance(phi: Functional, model: MkvModel,
                            times: Sequence[float], config: CovarianceConfig,
                            seed: int) -> CovarianceResult:
     """Sigma_ij = Cov(dV/dm(t_i, nu, xi), dV/dm(t_j, nu, xi))
-    + E int_0^{t_i ^ t_j} d_mu V(t_i - s, mu_s)(X_s)^T a(X_s, mu_s)
-    d_mu V(t_j - s, mu_s)(X_s) ds, both by nested Monte Carlo.
+    + E int_0^{t_i ^ t_j} d_mu V(t_i - s, mu_s)(X_s)^T a d_mu V(t_j - s,
+    mu_s)(X_s) ds with a = sigma^2 I_d, both by nested Monte Carlo.
 
     Term 1 differences eps-slot runs at quadrature probes of the initial
     law.  Term 2 takes mu_s as the reference cloud at each grid step s,
     enters every cloud point as a +/- antithetic noise pair, and gets
     d_mu V(t_i - s, mu_s) at all of them from one forward and one backward
     Euler pass (the adjoint); X_s ranges over the cloud.  The adjoint needs
-    a drift VJP, a diffusion free of x and mu, and a moment-form Phi with
-    exact statistic gradients; anything else raises MeanFieldError.
+    a drift VJP and a moment-form Phi with exact statistic gradients;
+    anything else raises MeanFieldError.
 
     Gate: the fluctuation theorem needs a Dirac initial law or bounded
     coefficients; models claiming neither flag require ``config.force``
@@ -844,8 +809,7 @@ def theoretical_covariance(phi: Functional, model: MkvModel,
     ev = MasterEvaluator(phi, model, m=config.inner_m, dt=config.dt)
     nu = as_law(model.initial)
     _adjoint_moment_form(phi)  # refuse before term 1 spends its runs
-    sigma = _constant_diffusion(model)
-    a = sigma @ sigma.T
+    _require_drift_vjp(model)
 
     def term1_at(p: int, sub_seed: int) -> np.ndarray:
         xis, xi_w = _xi_probes(model.initial, p, sub_seed)
@@ -859,8 +823,9 @@ def theoretical_covariance(phi: Functional, model: MkvModel,
             model, config.ref_size, config.dt, times[-1], sub_seed,
             snapshot_times=s_grid)
         m_ref, d = final.shape
+        a = model.sigma ** 2 * np.eye(d)
         # every pass restarts the same noise stream: draw it once
-        draw = _master_noise(sub_seed, 2 * m_ref, model.noise_dim)
+        draw = _master_noise(sub_seed, 2 * m_ref, d)
         noise = np.asarray(
             [draw(j) for j in range(_steps_for(times[-1], config.dt))])
         full, half = np.zeros((k, k)), np.zeros((k, k))
@@ -929,7 +894,8 @@ def master_equation_residual(ev: MasterEvaluator, t: float, mu: object,
     if ev.model.dim != 1:
         raise MeanFieldError("master-equation residual implemented for d = 1")
     _adjoint_moment_form(ev.phi)  # refuse before lhs spends its runs
-    a = float(np.sum(_constant_diffusion(ev.model) ** 2))  # sigma sigma^T
+    _require_drift_vjp(ev.model)
+    a = ev.model.sigma ** 2
     law = as_law(mu)
     tau, h = 2 * ev.dt, DEFAULT_H
     if t - tau < -1e-12:

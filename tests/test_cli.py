@@ -182,6 +182,28 @@ def test_config_error_exit_code(tmp_path, capsys):
     assert not list(tmp_path.iterdir())  # rejected before any artifact
 
 
+@pytest.mark.parametrize("flag", ["--times=nan", "--dt=nan", "--times=0.1,inf"])
+def test_non_finite_time_or_step_exits_config(tmp_path, flag):
+    assert run_cli(tmp_path, "meanfield", "run", "--model", "ou", flag,
+                   "--seed", "1") == EXIT_CONFIG
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("section, line", [
+    ("experiment", "seed = abc"), ("experiment", "times = 0.1,x"),
+    ("model", "force = maybe")])
+def test_malformed_ini_value_exits_config(tmp_path, capsys, section, line):
+    sections = {"experiment": "seed = 1", "model": "name = ou"}
+    sections[section] = line
+    ini = tmp_path / "bad.ini"
+    ini.write_text("".join(f"[{k}]\n{v}\n" for k, v in sections.items()))
+    out = tmp_path / "out"
+    assert main(["meanfield", "run", "--config", str(ini),
+                 "--out-dir", str(out)]) == EXIT_CONFIG
+    assert f"config key {line.split()[0]!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_decompose_artifacts_independent_of_workers(tmp_path):
     args = ("clt", "decompose", "--functional", "mean-square", "--law",
             "normal:0,1", "--n", "200", "--reps", "24", "--seed", "4")

@@ -60,13 +60,13 @@ def dirac(x: float) -> SamplerSpec:
 def mean_revert_half() -> MkvModel:
     # mean-revert started off centre, at N(1/2, 1)
     base = make_model("mean-revert")
-    return MkvModel("mean-revert-half", 1, 1, base.drift, base.diffusion,
+    return MkvModel("mean-revert-half", base.drift, base.sigma,
                     SamplerSpec.normal(0.5, 1.0), drift_vjp=base.drift_vjp)
 
 
 def ou_from(x0: float) -> MkvModel:
     base = make_model("ou")
-    return MkvModel("ou-dirac", 1, 1, base.drift, base.diffusion, dirac(x0),
+    return MkvModel("ou-dirac", base.drift, base.sigma, dirac(x0),
                     flags=frozenset({"is_dirac_initial"}),
                     drift_vjp=base.drift_vjp)
 
@@ -115,10 +115,7 @@ def test_batch_empirical_weighted_expectations():
 
 
 def test_frozen_dynamics_is_exactly_constant():
-    frozen = MkvModel("frozen", 1, 1,
-                      lambda x, mu: np.zeros_like(x),
-                      lambda x, mu: np.zeros(x.shape + (1,)),
-                      dirac(1.5))
+    frozen = MkvModel("frozen", lambda x, mu: np.zeros_like(x), 0.0, dirac(1.5))
     path = simulate_particles(frozen, n=8, dt=0.01, t=0.5, seed=1)
     assert np.all(path == 1.5)
 
@@ -146,9 +143,7 @@ def test_mean_conservation_two_particles():
     # drift mu.mean() - x with zero diffusion keeps the empirical mean fixed:
     # exact in real arithmetic, one or two ulps of drift in floating point
     model = MkvModel(
-        "conserve", 1, 1,
-        lambda x, mu: mu.mean() - x,
-        lambda x, mu: np.zeros(x.shape + (1,)),
+        "conserve", lambda x, mu: mu.mean() - x, 0.0,
         SamplerSpec.callback(lambda rng, n: np.array([[0.0], [2.0]])[:n],
                              dim=1, label="pair"))
     path = simulate_particles(model, n=2, dt=0.01, t=1.0, seed=5)
@@ -164,10 +159,7 @@ def test_off_grid_time_rejected():
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_exploding_dynamics_raises_with_step_info():
-    hot = MkvModel("hot", 1, 1,
-                   lambda x, mu: x ** 3 * 1e6,
-                   lambda x, mu: np.ones(x.shape + (1,)),
-                   SamplerSpec.normal())
+    hot = MkvModel("hot", lambda x, mu: x ** 3 * 1e6, 1.0, SamplerSpec.normal())
     with pytest.raises(MeanFieldError, match="non-finite"):
         simulate_particles(hot, n=16, dt=0.01, t=1.0, seed=6)
 
@@ -226,10 +218,25 @@ def one_run_at_a_time(model, n, dt, snap_steps, init_rng, noise_rng):
         clouds += [x[0]] * snap_steps.count(k)
         if k < snap_steps[-1]:
             mu = BatchEmpirical(x)
-            xi = noise_rng.standard_normal((n, model.noise_dim))
-            x = (x + model.drift(x, mu) * dt
-                 + root_dt * (model.diffusion(x, mu)[..., 0] * xi))
+            xi = noise_rng.standard_normal((n, model.dim))
+            x = x + model.drift(x, mu) * dt + root_dt * (model.sigma * xi)
     return clouds
+
+
+def test_two_dimensional_model_gives_each_coordinate_its_own_noise():
+    # sigma I_2: the driver reproduces the loop bit for bit, and the noise
+    # part of each step, x_{k+1} - (1 - dt) x_k, differs between coordinates
+    model = MkvModel("ou-2d", lambda x, mu: -x, 0.5, SamplerSpec.normal(dim=2),
+                     drift_vjp=lambda x, mu, rho: -rho)
+    assert model.dim == 2
+    path = simulate_particles(model, n=16, dt=0.01, t=0.1, seed=53)
+    want = one_run_at_a_time(model, 16, 0.01, list(range(11)),
+                             stream(53, "particles"),
+                             stream(53, "particles-noise"))
+    assert path.shape == (11, 16, 2)
+    assert path.tolist() == np.asarray(want).tolist()
+    kicks = path[1:] - 0.99 * path[:-1]
+    assert np.all(np.abs(kicks[..., 0] - kicks[..., 1]) > 1e-9)
 
 
 @pytest.mark.parametrize("model_name", ["ou", "mean-revert", "bounded-sine"])
@@ -363,19 +370,6 @@ def test_master_lfd_mean_square_expansion():
     assert got == pytest.approx(want, abs=1e-12)
 
 
-def test_master_lfd_richardson_removes_eps_bias():
-    c, y, t = 0.5, 1.3, 0.25
-    ev = MasterEvaluator(make_functional("mean-square"), make_model("ou"),
-                         m=2000, dt=0.01, eps=0.05)
-    nu = DiscreteMeasure(np.array([[c]]))
-    exact = euler_factor(t) ** 2 * 2 * c * y  # eps -> 0 normalized derivative
-    plain = master_lfd_batch(ev, (t,), nu, np.array([[y]]), seed=23)[0, 0]
-    rich = master_lfd_batch(ev, (t,), nu, np.array([[y]]), seed=23,
-                            richardson=True)[0, 0]
-    assert abs(rich - exact) < abs(plain - exact) / 10
-    assert rich == pytest.approx(exact, abs=1e-8)
-
-
 @pytest.mark.parametrize("model_name", ["ou", "mean-revert", "bounded-sine"])
 def test_time_grid_equals_stacked_single_times(model_name):
     # one run snapshotted at every time equals one run per time, bit for bit:
@@ -384,12 +378,9 @@ def test_time_grid_equals_stacked_single_times(model_name):
                          m=200, dt=0.01)
     nu = as_law(ev.model.initial)
     ys = np.array([[-0.7], [0.4], [1.1]])
-    for richardson in (False, True):
-        both = master_lfd_batch(ev, (0.05, 0.1), nu, ys, seed=5,
-                                richardson=richardson)
-        one = [master_lfd_batch(ev, (t,), nu, ys, seed=5,
-                                richardson=richardson)[0] for t in (0.05, 0.1)]
-        assert both.tolist() == np.stack(one).tolist()
+    both = master_lfd_batch(ev, (0.05, 0.1), nu, ys, seed=5)
+    one = [master_lfd_batch(ev, (t,), nu, ys, seed=5)[0] for t in (0.05, 0.1)]
+    assert both.tolist() == np.stack(one).tolist()
     pts, base_w = _base_cloud(ev, nu, seed=5)
     noise = lambda: _master_noise(5, len(pts), 1)
     both = _adjoint_lderiv(ev, (5, 10), pts, base_w, noise())
@@ -534,7 +525,7 @@ def test_covariance_mean_revert_exact_forms():
     base = make_model("mean-revert")
     from_dirac = theoretical_covariance(
         LINEAR_MEAN,
-        MkvModel("mean-revert-dirac", 1, 1, base.drift, base.diffusion,
+        MkvModel("mean-revert-dirac", base.drift, base.sigma,
                  dirac(1.0), flags=frozenset({"is_dirac_initial"}),
                  drift_vjp=base.drift_vjp),
         times, fast_cov_config(force=False), seed=37)
@@ -597,17 +588,8 @@ def test_term2_runs_the_reference_once_per_seed(monkeypatch):
 
 def test_adjoint_refuses_what_it_cannot_serve():
     ou = make_model("ou")
-    state_noise = MkvModel("state-noise", 1, 1, ou.drift,
-                           lambda x, mu: np.cos(x)[..., None], ou.initial,
-                           drift_vjp=ou.drift_vjp)
-    law_noise = MkvModel("law-noise", 1, 1, ou.drift,
-                         lambda x, mu: np.broadcast_to(
-                             1.0 + mu.mean() ** 2, x.shape)[..., None],
-                         ou.initial, drift_vjp=ou.drift_vjp)
-    no_vjp = MkvModel("no-vjp", 1, 1, ou.drift, ou.diffusion, ou.initial)
-    cases = [(state_noise, LINEAR_MEAN, "neither x nor mu"),
-             (law_noise, LINEAR_MEAN, "neither x nor mu"),
-             (no_vjp, LINEAR_MEAN, "no drift VJP"),
+    no_vjp = MkvModel("no-vjp", ou.drift, ou.sigma, ou.initial)
+    cases = [(no_vjp, LINEAR_MEAN, "no drift VJP"),
              (ou, make_functional("quantile:0.5"), "point mass"),
              (ou, Linear(lambda p: p[..., 0], dim=1), "statistic gradients")]
     nu = DiscreteMeasure(np.array([[0.0]]))
