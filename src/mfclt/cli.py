@@ -1,11 +1,13 @@
 """Experiment orchestration CLI.
 
 Subcommands: ``clt run|decompose|scaling``, ``meanfield run``, ``derivcheck``,
-``metrics check``.  Options come from flags or an INI config file (sections
-``[experiment]``, ``[law]``, ``[model]``, ``[output]``); flags override file
-values.  A seed is always required: there is no wall-clock default, so the
-same invocation reproduces the same artifacts byte for byte (the manifest's
-wall-time field is the one exception).
+``metrics check``.  Options come from flags or an INI file (``--config``),
+whose (section, key) pairs ``_INI_FLAGS`` turns into flags placed before the
+command line's, so flags win.  File values are read literally; an unknown or
+unsupported key, a ``kind`` that is not the subcommand's, or a malformed file
+is bad configuration.  A seed is always required: there is no wall-clock
+default, so the same invocation reproduces the same artifacts byte for byte
+(the manifest's wall-time field is the one exception).
 
 Every run writes, next to its JSON report, a manifest with the full resolved
 config, package version, RNG family, and per-check outcomes; the manifest is
@@ -15,7 +17,7 @@ non-finite values serialize as null.  The only environment override is
 MFCLT_OUT_DIR for the output directory.
 
 Exit codes: 0 all enabled assertions pass, 2 an assertion failed, 3 bad
-configuration, 4 numeric/runtime failure inside an engine.
+configuration or an unwritable output path, 4 numeric failure in an engine.
 """
 from __future__ import annotations
 
@@ -168,11 +170,9 @@ def parse_law(text: str) -> object:
         if kind == "atoms":
             with open(rest, encoding="utf-8") as fh:
                 return SamplerSpec.discrete(DiscreteMeasure.from_text(fh.read()))
-        raise ConfigError(f"unknown law spec {text!r} (normal:|uniform:|atoms:)")
     except (ValueError, OSError, MeasureError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
         raise ConfigError(f"bad law spec {text!r}: {exc}") from exc
+    raise ConfigError(f"unknown law spec {text!r} (normal:|uniform:|atoms:)")
 
 
 def _ints(text: str) -> tuple[int, ...]:
@@ -183,48 +183,60 @@ def _floats(text: str) -> tuple[float, ...]:
     return tuple(float(v) for v in text.split(","))
 
 
-def _read_ini(path: str) -> dict:
-    parser = configparser.ConfigParser()
-    if not parser.read(path):
-        raise ConfigError(f"config file {path!r} not found or unreadable")
-    out: dict = {}
+# Config file keys and the flags they become, in the order their tokens are
+# emitted: argparse keeps an option's last occurrence, so [model] phi beats
+# [experiment] phi whatever the order of the file's sections.
+_INI_FLAGS = {
+    **{("experiment", key): "--" + key.replace("_", "-") for key in (
+        "seed", "functional", "phi", "n", "reps", "dt", "times", "n_grid",
+        "quad_points", "workers", "ref_size", "probes")},
+    ("law", "spec"): "--law",
+    ("model", "name"): "--model",
+    ("model", "phi"): "--phi",
+    ("model", "force"): "--no-force",
+    ("output", "json"): "--out",
+    ("output", "dir"): "--out-dir",
+}
 
-    def parsed(key: str, convert, arg: str):
-        try:
-            return convert(arg)
-        except ValueError as exc:
+
+def _ini_argv(path: str, kind: str, parser: argparse.ArgumentParser,
+              head: list[str]) -> list[str]:
+    """The INI file at ``path`` as argv tokens for subcommand ``head`` of
+    ``parser``, which converts and checks them; values are read literally."""
+    ini = configparser.ConfigParser(interpolation=None)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            ini.read_file(fh)
+    except (OSError, ValueError, configparser.Error) as exc:
+        raise ConfigError(f"config file {path!r}: {exc}") from exc
+    known = {("experiment", "kind"), *_INI_FLAGS}
+    for section, keys in ini.items():
+        if section not in {s for s, _ in known} and (
+                keys or section != ini.default_section):
+            raise ConfigError(f"config file {path!r}: unknown section [{section}]")
+        for key in keys:
+            if (section, key) not in known:
+                raise ConfigError(f"config key {key!r}: unknown in [{section}]")
+    if ini.get("experiment", "kind", fallback=kind) != kind:
+        raise ConfigError(f"config key 'kind': must be {kind!r} for this subcommand")
+    argv: list[str] = []
+    for (section, key), flag in _INI_FLAGS.items():
+        if not ini.has_option(section, key):
+            continue
+        try:  # each key alone, so an error names it
+            if flag == "--no-force":  # force = true, the default, emits nothing
+                probe = [flag]
+                tokens = [] if ini.getboolean(section, key) else probe
+            else:
+                tokens = probe = [f"{flag}={ini[section][key]}"]
+            _, extra = parser.parse_known_args(head + probe)
+        except (ValueError, argparse.ArgumentError) as exc:
             raise ConfigError(f"config key {key!r}: {exc}") from exc
-
-    exp = parser["experiment"] if parser.has_section("experiment") else {}
-    for key in ("kind", "functional", "phi"):
-        if key in exp:
-            out[key] = exp[key]
-    for key in ("seed", "n", "reps", "quad_points", "workers", "ref_size", "probes"):
-        if key in exp:
-            out[key] = parsed(key, int, exp[key])
-    if "dt" in exp:
-        out["dt"] = parsed("dt", float, exp["dt"])
-    if "times" in exp:
-        out["times"] = parsed("times", _floats, exp["times"])
-    if "n_grid" in exp:
-        out["n_grid"] = parsed("n_grid", _ints, exp["n_grid"])
-    if parser.has_section("law") and "spec" in parser["law"]:
-        out["law"] = parser["law"]["spec"]
-    if parser.has_section("model"):
-        sec = parser["model"]
-        if "name" in sec:
-            out["model"] = sec["name"]
-        if "phi" in sec:
-            out["phi"] = sec["phi"]
-        if "force" in sec:
-            out["force"] = parsed("force", sec.getboolean, "force")
-    if parser.has_section("output"):
-        sec = parser["output"]
-        if "json" in sec:
-            out["out"] = sec["json"]
-        if "dir" in sec:
-            out["out_dir"] = sec["dir"]
-    return out
+        if extra:
+            raise ConfigError(
+                f"config key {key!r}: mfclt {' '.join(head)} takes no {flag}")
+        argv += tokens
+    return argv
 
 
 def parse_config(argv: list[str]) -> ExperimentConfig:
@@ -232,18 +244,20 @@ def parse_config(argv: list[str]) -> ExperimentConfig:
         prog="mfclt", description=__doc__.splitlines()[0], exit_on_error=False)
     sub = parser.add_subparsers(dest="group", required=True)
 
-    def common(p):
+    def common(group, name, kind):
+        p = group.add_parser(name, exit_on_error=False)
+        p.set_defaults(kind=kind)
         p.add_argument("--config", help="INI config file; flags override it")
         p.add_argument("--seed", type=int, help="required somewhere: flag or file")
         p.add_argument("--out", help="JSON report path")
         p.add_argument("--out-dir", help="output directory")
         p.add_argument("--workers", type=int)
+        return p
 
     clt = sub.add_parser("clt", exit_on_error=False)
     clt_sub = clt.add_subparsers(dest="action", required=True)
     for action in ("run", "decompose", "scaling"):
-        p = clt_sub.add_parser(action, exit_on_error=False)
-        common(p)
+        p = common(clt_sub, action, "clt" if action == "run" else action)
         p.add_argument("--functional")
         p.add_argument("--law")
         p.add_argument("--n", type=int)
@@ -254,8 +268,7 @@ def parse_config(argv: list[str]) -> ExperimentConfig:
 
     meanfield = sub.add_parser("meanfield", exit_on_error=False)
     mf_sub = meanfield.add_subparsers(dest="action", required=True)
-    p = mf_sub.add_parser("run", exit_on_error=False)
-    common(p)
+    p = common(mf_sub, "run", "meanfield")
     p.add_argument("--model")
     p.add_argument("--phi")
     p.add_argument("--n", type=int)
@@ -263,17 +276,15 @@ def parse_config(argv: list[str]) -> ExperimentConfig:
     p.add_argument("--times", type=_floats)
     p.add_argument("--dt", type=float)
     p.add_argument("--ref-size", type=int)
-    p.add_argument("--no-force", action="store_true",
+    p.add_argument("--no-force", dest="force", action="store_false", default=None,
                    help="honor the covariance hypothesis gate strictly")
 
-    p = sub.add_parser("derivcheck", exit_on_error=False)
-    common(p)
+    p = common(sub, "derivcheck", "derivcheck")
     p.add_argument("--probes", type=int)
 
     metrics = sub.add_parser("metrics", exit_on_error=False)
     met_sub = metrics.add_subparsers(dest="action", required=True)
-    p = met_sub.add_parser("check", exit_on_error=False)
-    common(p)
+    common(met_sub, "check", "metrics")
 
     try:
         ns = parser.parse_args(argv)
@@ -283,27 +294,16 @@ def parse_config(argv: list[str]) -> ExperimentConfig:
         if exc.code in (0, None):  # --help
             raise
         raise ConfigError("bad arguments (see usage)") from exc
-
-    kind = ns.group
-    if ns.group == "clt":
-        kind = {"run": "clt", "decompose": "decompose", "scaling": "scaling"}[ns.action]
-
-    values: dict = {}
-    if getattr(ns, "config", None):
-        values.update(_read_ini(ns.config))
-    for key in ("seed", "functional", "law", "n", "reps", "quad_points",
-                "n_grid", "model", "phi", "times", "dt", "ref_size", "workers",
-                "out", "out_dir", "probes"):
-        val = getattr(ns, key, None)
-        if val is not None:
-            values[key] = val
-    if getattr(ns, "no_force", False):
-        values["force"] = False
-    values["kind"] = kind
-    if "out_dir" not in values:
-        values["out_dir"] = os.environ.get("MFCLT_OUT_DIR", ".")
-
-    if values.get("seed") is None:
+    if ns.config:
+        # file tokens go before the command line's flags, which so win; each
+        # token has already parsed alone, so the combined line parses too
+        head = argv[:1 if ns.kind == "derivcheck" else 2]
+        ns = parser.parse_args(head + _ini_argv(ns.config, ns.kind, parser, head)
+                               + argv[len(head):])
+    values = {k: v for k, v in vars(ns).items()
+              if v is not None and k not in ("group", "action", "config")}
+    values.setdefault("out_dir", os.environ.get("MFCLT_OUT_DIR", "."))
+    if "seed" not in values:
         raise ConfigError("a seed is required (flag --seed or [experiment] seed)")
     cfg = ExperimentConfig(**values)
     cfg.validate()
@@ -385,10 +385,6 @@ class Manifest:
             "checks": self.checks,
             "wall_time_s": wall_time_s,
         }))
-
-
-def _config_echo(cfg: ExperimentConfig) -> dict:
-    return {k: v for k, v in vars(cfg).items()}
 
 
 # ---------------------------------------------------------------------------
@@ -571,10 +567,14 @@ _RUNNERS = {
 
 def run(cfg: ExperimentConfig) -> int:
     """Run one experiment and write its artifacts; each runner returns
-    (report payload, CSV text or None, checks)."""
+    (report payload, CSV text or None, checks).  An output directory that
+    cannot be made raises ConfigError before anything runs."""
     json_path, csv_path, manifest_path = _paths(cfg, cfg.kind)
-    manifest = Manifest(manifest_path, _config_echo(cfg))
-    manifest.begin()
+    manifest = Manifest(manifest_path, dict(vars(cfg)))
+    try:
+        manifest.begin()
+    except OSError as exc:
+        raise ConfigError(f"cannot write {manifest_path!r}: {exc}") from exc
     try:
         payload, csv_text, checks = _RUNNERS[cfg.kind](cfg)
     except ConfigError as exc:
@@ -604,11 +604,10 @@ def run(cfg: ExperimentConfig) -> int:
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
-        cfg = parse_config(argv)
+        return run(parse_config(argv))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    return run(cfg)
 
 
 if __name__ == "__main__":

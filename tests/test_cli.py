@@ -1,6 +1,9 @@
 """Command-line contract: exit codes, config resolution, artifact stability."""
 import json
 import os
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -63,6 +66,30 @@ def test_ini_file_with_flag_override(tmp_path):
     assert cfg.seed == 5 and cfg.n == 400 and cfg.law == "uniform:0,1"
     over = parse_config(["clt", "run", "--config", str(ini), "--n", "999"])
     assert over.n == 999 and over.reps == 50
+
+
+def test_ini_model_phi_wins_and_flags_override_lists_and_force(tmp_path):
+    ini = tmp_path / "mf.ini"
+    ini.write_text("[model]\nname = ou\nphi = mean-square\nforce = true\n\n"
+                   "[experiment]\nseed = 2\nphi = linear-mean\ntimes = 0.1,0.2\n")
+    cfg = parse_config(["meanfield", "run", "--config", str(ini)])
+    assert cfg.phi == "mean-square" and cfg.force is True
+    assert cfg.times == (0.1, 0.2)
+    over = parse_config(["meanfield", "run", "--config", str(ini),
+                         "--times", "0.3", "--no-force"])
+    assert over.times == (0.3,) and over.force is False
+    assert over.phi == "mean-square"
+
+
+def test_readme_commands_parse():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1]
+    lines = block.split("```", 1)[0].replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line)[1:] for line in lines if line.startswith("mfclt ")]
+    assert len(commands) == 6
+    for argv in commands:
+        assert parse_config(argv).seed is not None, argv
 
 
 def test_parse_law_variants(tmp_path):
@@ -191,7 +218,10 @@ def test_non_finite_time_or_step_exits_config(tmp_path, flag):
 
 @pytest.mark.parametrize("section, line", [
     ("experiment", "seed = abc"), ("experiment", "times = 0.1,x"),
-    ("model", "force = maybe")])
+    ("model", "force = maybe"),
+    ("experiment", "rep = 10"),  # misspelt key
+    ("experiment", "functional = linear-mean"),  # not an option of meanfield run
+    ("experiment", "kind = clt")])
 def test_malformed_ini_value_exits_config(tmp_path, capsys, section, line):
     sections = {"experiment": "seed = 1", "model": "name = ou"}
     sections[section] = line
@@ -202,6 +232,82 @@ def test_malformed_ini_value_exits_config(tmp_path, capsys, section, line):
                  "--out-dir", str(out)]) == EXIT_CONFIG
     assert f"config key {line.split()[0]!r}" in capsys.readouterr().err
     assert not out.exists()
+
+
+_TINY_MF = "[experiment]\nseed = 1\nn = 20\nreps = 5\ntimes = 0.02\n[model]\nname = ou\n"
+
+
+@pytest.mark.parametrize("text", [
+    "seed = 1\n" + _TINY_MF,
+    _TINY_MF.replace("seed = 1\n", "seed = 1\nseed = 2\n"),
+    _TINY_MF + "[experiment]\nworkers = 1\n",
+    _TINY_MF + "[modle]\nname = ou\n",
+    "[DEFAULT]\nworkers = 1\n" + _TINY_MF,
+], ids=["no-header", "duplicate-key", "duplicate-section", "unknown-section",
+        "default-section"])
+def test_malformed_ini_file_exits_config(tmp_path, capsys, text):
+    ini = tmp_path / "bad.ini"
+    ini.write_text(text)
+    out = tmp_path / "out"
+    assert main(["meanfield", "run", "--config", str(ini),
+                 "--out-dir", str(out)]) == EXIT_CONFIG
+    assert f"config file {str(ini)!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_ini_values_are_literal(tmp_path):
+    target = tmp_path / "100%"
+    ini = tmp_path / "pct.ini"
+    ini.write_text(f"[experiment]\nseed = 1\nn = 200\nreps = 30\n"
+                   f"[output]\ndir = {target}\n")
+    assert main(["clt", "run", "--config", str(ini)]) == EXIT_PASS
+    assert (target / "clt.json").exists()
+
+
+@pytest.mark.parametrize("flag, path", [("--out-dir", "blocker"),
+                                        ("--out", "blocker/r.json")])
+def test_unwritable_output_exits_config(tmp_path, capsys, flag, path):
+    (tmp_path / "blocker").write_text("")
+    assert main(["clt", "run", "--n", "50", "--reps", "5", "--seed", "1",
+                 flag, str(tmp_path / path)]) == EXIT_CONFIG
+    assert "blocker" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["blocker"]
+
+
+# the benchmark workloads' smoke-size command lines, each with the INI file
+# that says the same thing
+_INI_EQUIVALENTS = [
+    (["clt", "run"], ["--functional", "quantile:0.5", "--law", "normal:0,1",
+                      "--n", "200", "--reps", "40", "--workers", "2"],
+     "functional = quantile:0.5\nn = 200\nreps = 40\nworkers = 2\n"
+     "[law]\nspec = normal:0,1\n"),
+    (["clt", "scaling"], ["--functional", "cube-of-second-moment", "--law",
+                          "normal:0,1", "--n-grid", "100,316", "--reps", "20"],
+     "functional = cube-of-second-moment\nn_grid = 100,316\nreps = 20\n"
+     "[law]\nspec = normal:0,1\n"),
+    (["meanfield", "run"], ["--model", "ou", "--phi", "linear-mean", "--n", "50",
+                            "--reps", "20", "--times", "0.02,0.04"],
+     "n = 50\nreps = 20\ntimes = 0.02,0.04\n[model]\nname = ou\nphi = linear-mean\n"),
+    (["derivcheck"], ["--probes", "2"], "probes = 2\n"),
+]
+
+
+@pytest.mark.parametrize("head, flags, keys", _INI_EQUIVALENTS,
+                         ids=["-".join(c[0]) for c in _INI_EQUIVALENTS])
+def test_ini_and_flags_write_identical_bytes(tmp_path, head, flags, keys):
+    ini = tmp_path / "exp.ini"
+    ini.write_text("[experiment]\nseed = 7\n" + keys)
+    assert main([*head, "--config", str(ini),
+                 "--out-dir", str(tmp_path / "ini")]) == EXIT_PASS
+    assert main([*head, *flags, "--seed", "7",
+                 "--out-dir", str(tmp_path / "flags")]) == EXIT_PASS
+
+    def artifacts(out):  # reports and CSVs, as the benchmark digests them
+        return {p.name: re.sub(rb'"samples_csv_path": "[^"]*"', b"", p.read_bytes())
+                for p in out.iterdir() if not p.name.endswith(".manifest.json")}
+
+    from_ini = artifacts(tmp_path / "ini")
+    assert from_ini and from_ini == artifacts(tmp_path / "flags")
 
 
 def test_decompose_artifacts_independent_of_workers(tmp_path):
